@@ -1,7 +1,7 @@
 // Parallel multi-CQ evaluation (engine scaling experiment): one eager
 // CqManager carrying 64 standing queries over a hot table, driven commit
 // by commit. Arg(0) is the evaluation lane count — the same workload at
-// --threads 1 is the sequential baseline the determinism contract pins,
+// --threads 1 is the inline (no pool) baseline the determinism contract pins,
 // and the 2/4-lane rows show the commit-to-notify speedup the dispatcher
 // buys by snapshotting each relation's delta once and fanning the
 // trigger-eligible CQs across the pool.
@@ -41,17 +41,19 @@ constexpr std::size_t kUpdatesPerCommit = 8;
 constexpr std::size_t kCommits = kRounds * (kUpdatesPerRound / kUpdatesPerCommit);
 
 /// The shared workload: a hot table, 64 overlapping standing queries, an
-/// eager manager at the requested lane count.
+/// eager manager at the requested lane count. The table keeps a reference
+/// to the generator for every later update, so the workload owns it.
 struct MultiCqWorkload {
+  explicit MultiCqWorkload(std::size_t threads) : rng(0x64c0 ^ threads) {}
+  common::Rng rng;
   cat::Database db;
   std::unique_ptr<wl::SweepTable> table;
   std::unique_ptr<core::CqManager> manager;
 };
 
 std::unique_ptr<MultiCqWorkload> make_workload(std::size_t threads) {
-  auto w = std::make_unique<MultiCqWorkload>();
-  common::Rng rng(0x64c0 ^ threads);
-  w->table = std::make_unique<wl::SweepTable>(w->db, "S", kRows, 64, rng);
+  auto w = std::make_unique<MultiCqWorkload>(threads);
+  w->table = std::make_unique<wl::SweepTable>(w->db, "S", kRows, 64, w->rng);
   w->manager = std::make_unique<core::CqManager>(w->db);
   for (std::size_t i = 0; i < kCqs; ++i) {
     // Overlapping 4%-wide key bands: every commit is relevant to every

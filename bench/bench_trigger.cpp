@@ -45,8 +45,11 @@ void BM_TriggerDifferential(benchmark::State& state) {
   const auto trigger =
       core::triggers::aggregate_drift("CheckingAccounts", "amount", 1e15);
   const std::vector<std::string> relations{"CheckingAccounts"};
-  const core::TriggerContext ctx{s.db, relations, s.t0, s.db.clock().now(), 1};
   for (auto _ : state) {
+    // A fresh snapshot per check, as each dispatch takes one: a reused
+    // snapshot would serve its memoized net effect instead of scanning ΔR.
+    const delta::SnapshotMap snapshots = core::snapshot_deltas(s.db, relations);
+    const core::TriggerContext ctx{s.db, relations, s.t0, s.db.clock().now(), 1, snapshots};
     benchmark::DoNotOptimize(trigger->should_fire(ctx));
   }
   state.counters["delta_rows"] =

@@ -18,10 +18,15 @@ void count(Metrics* m, common::metric::Id id, std::int64_t v) {
 }  // namespace
 
 Relation select(const Relation& input, const Expr& predicate, Metrics* metrics) {
+  return select(input, input.schema(), predicate, metrics);
+}
+
+Relation select(const Relation& input, const rel::Schema& schema, const Expr& predicate,
+                Metrics* metrics) {
   common::obs::Span span("alg.select");
-  Relation out(input.schema());
+  Relation out(schema);
   for (const auto& row : input.rows()) {
-    if (predicate.eval_bool(row, input.schema())) out.append(row);
+    if (predicate.eval_bool(row, schema)) out.append(row);
   }
   count(metrics, common::metric::kRowsScanned, static_cast<std::int64_t>(input.size()));
   count(metrics, common::metric::kRowsOutput, static_cast<std::int64_t>(out.size()));

@@ -19,6 +19,13 @@ namespace cq::alg {
 [[nodiscard]] rel::Relation select(const rel::Relation& input, const Expr& predicate,
                                    common::Metrics* metrics = nullptr);
 
+/// σ_pred over `input`'s rows read under `schema` (same arity, e.g. the
+/// alias-qualified form of a shared delta view), without copying `input`
+/// first. The output carries `schema`.
+[[nodiscard]] rel::Relation select(const rel::Relation& input, const rel::Schema& schema,
+                                   const Expr& predicate,
+                                   common::Metrics* metrics = nullptr);
+
 /// π_columns(input). With dedup=true the output is a set (SELECT DISTINCT);
 /// otherwise multiset projection. Tids are preserved when dedup=false.
 [[nodiscard]] rel::Relation project(const rel::Relation& input,

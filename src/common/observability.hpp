@@ -101,7 +101,7 @@ inline constexpr const char* kSourceStalenessTicks = "source_staleness_ticks";  
 inline constexpr const char* kSourcePendingRows = "source_pending_rows";        // (source)
 /// Tasks queued in the evaluation thread pool, awaiting a worker.
 inline constexpr const char* kPoolQueueDepth = "pool_queue_depth";
-/// Evaluation lanes the CQ manager dispatches across (1 = sequential).
+/// Evaluation lanes the CQ manager dispatches across (1 = inline, no pool).
 inline constexpr const char* kEvalParallelism = "eval_parallelism";
 /// Cumulative busy time of one pool lane, microseconds (label lane).
 /// Monotonic — exported as a Prometheus counter, not a gauge.

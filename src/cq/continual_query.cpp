@@ -1,5 +1,6 @@
 #include "cq/continual_query.hpp"
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 
@@ -47,6 +48,12 @@ ContinualQuery::ContinualQuery(CqSpec spec, const cat::Database& db)
     }
     relations_.push_back(ref.table);
   }
+  for (const auto& table : spec_.trigger->tables()) {
+    if (std::find(relations_.begin(), relations_.end(), table) == relations_.end()) {
+      throw common::InvalidArgument("CQ '" + spec_.name + "': trigger reads '" + table +
+                                    "', which is not in the query's FROM list");
+    }
+  }
 }
 
 qry::SpjQuery ContinualQuery::spj_core() const {
@@ -69,20 +76,36 @@ rel::Relation ContinualQuery::delivered_aggregate() const {
 }
 
 TriggerContext ContinualQuery::context(const cat::Database& db,
-                                       const delta::SnapshotMap* snapshots) const {
+                                       const delta::SnapshotMap& snapshots) const {
   return TriggerContext{db,  relations_,  last_exec_,
                         db.clock().now(), executions_, snapshots};
 }
 
 bool ContinualQuery::should_fire(const cat::Database& db,
-                                 const delta::SnapshotMap* snapshots) const {
+                                 const delta::SnapshotMap& snapshots) const {
   return !finished_ && spec_.trigger->should_fire(context(db, snapshots));
 }
 
 bool ContinualQuery::should_stop(const cat::Database& db,
-                                 const delta::SnapshotMap* snapshots) const {
+                                 const delta::SnapshotMap& snapshots) const {
   return finished_ || spec_.stop->satisfied(context(db, snapshots));
 }
+
+namespace {
+
+/// `core` planned against the live catalog; fills `schemas` with each FROM
+/// entry's alias-qualified schema.
+qry::PlannedQuery plan_against(const qry::SpjQuery& core, const cat::Database& db,
+                               std::vector<rel::Schema>& schemas) {
+  std::vector<std::size_t> cards;
+  for (const auto& ref : core.from) {
+    schemas.push_back(qry::qualify(db.table(ref.table).schema(), ref));
+    cards.push_back(db.table(ref.table).size());
+  }
+  return qry::plan(core, schemas, cards);
+}
+
+}  // namespace
 
 ContinualQuery::Staleness ContinualQuery::staleness(const cat::Database& db) const {
   Staleness out;
@@ -90,18 +113,10 @@ ContinualQuery::Staleness ContinualQuery::staleness(const cat::Database& db) con
 
   const qry::SpjQuery core = spj_core();
   std::vector<rel::Schema> schemas;
-  std::vector<std::size_t> cards;
-  for (const auto& ref : core.from) {
-    schemas.push_back(qry::qualify(db.table(ref.table).schema(), ref));
-    cards.push_back(db.table(ref.table).size());
-  }
-  const qry::PlannedQuery planned = qry::plan(core, schemas, cards);
+  const qry::PlannedQuery planned = plan_against(core, db, schemas);
 
   for (std::size_t i = 0; i < core.from.size(); ++i) {
-    const auto& d = db.delta(core.from[i].table);
-    // Pin so GC cannot truncate the window between the change test and
-    // the insertion/deletion copies below.
-    const auto pin = d.pin_reads();
+    const delta::DeltaSnapshot d(db.delta(core.from[i].table));
     if (!d.changed_since(last_exec_)) continue;
     Relation ins = d.insertions(last_exec_);
     Relation del = d.deletions(last_exec_);
@@ -131,17 +146,11 @@ std::string ContinualQuery::explain(const cat::Database& db) const {
 
   const qry::SpjQuery core = spj_core();
   std::vector<rel::Schema> schemas;
-  std::vector<std::size_t> cards;
-  for (const auto& ref : core.from) {
-    schemas.push_back(qry::qualify(db.table(ref.table).schema(), ref));
-    cards.push_back(db.table(ref.table).size());
-  }
-  const qry::PlannedQuery planned = qry::plan(core, schemas, cards);
+  const qry::PlannedQuery planned = plan_against(core, db, schemas);
   os << "  " << planned.to_string(core);
 
   for (std::size_t i = 0; i < core.from.size(); ++i) {
-    const auto& d = db.delta(core.from[i].table);
-    const auto pin = d.pin_reads();  // hold GC off while we count the window
+    const delta::DeltaSnapshot d(db.delta(core.from[i].table));
     const std::size_t pending =
         d.changed_since(last_exec_) ? d.net_effect(last_exec_).size() : 0;
     os << "  Δ" << core.from[i].table << ": " << pending << " pending net rows";
@@ -235,42 +244,40 @@ rel::Relation distinct_from_counts(const rel::TupleBag& counts, const rel::Schem
 
 }  // namespace
 
+void ContinualQuery::load_state(Relation spj) {
+  saved_result_.reset();
+  result_counts_.reset();
+  agg_state_.reset();
+  // ΔQ plumbing needs the previous SPJ result under kRecompute.
+  bool keep_spj = spec_.strategy == ExecutionStrategy::kRecompute;
+  if (spec_.query.is_aggregate()) {
+    agg_state_.emplace(spj.schema(), spec_.query.group_by, spec_.query.aggregates);
+    agg_state_->initialize(spj);
+  } else if (spec_.query.distinct) {
+    result_counts_.emplace();
+    for (const auto& row : spj.rows()) result_counts_->add(row, +1);
+  } else {
+    keep_spj = keep_spj || spec_.mode == DeliveryMode::kComplete;
+  }
+  if (keep_spj) saved_result_ = std::move(spj);
+}
+
 Notification ContinualQuery::prime_from_scratch(const cat::Database& db,
                                                 common::Metrics* metrics) {
-  const qry::SpjQuery core = spj_core();
-  Relation spj = recompute(core, db, metrics);
+  Relation spj = recompute(spj_core(), db, metrics);
   if (metrics != nullptr) metrics->add(common::metric::kQueryExecutions, 1);
 
   Notification note;
   note.cq_name = spec_.name;
-
-  saved_result_.reset();
-  result_counts_.reset();
-  agg_state_.reset();
+  note.delta.inserted = Relation(spj.schema());
+  note.delta.deleted = Relation(spj.schema());
+  if (!spec_.query.is_aggregate() && !spec_.query.distinct) note.complete = spj;
+  load_state(std::move(spj));
   if (spec_.query.is_aggregate()) {
-    agg_state_.emplace(spj.schema(), spec_.query.group_by, spec_.query.aggregates);
-    agg_state_->initialize(spj);
     note.aggregate = delivered_aggregate();
     note.complete = note.aggregate;
-    // ΔQ plumbing still needs the previous SPJ result under kRecompute.
-    if (spec_.strategy == ExecutionStrategy::kRecompute) saved_result_ = spj;
-    note.delta.inserted = Relation(spj.schema());
-    note.delta.deleted = Relation(spj.schema());
   } else if (spec_.query.distinct) {
-    result_counts_.emplace();
-    for (const auto& row : spj.rows()) result_counts_->add(row, +1);
-    note.complete = distinct_from_counts(*result_counts_, spj.schema());
-    if (spec_.strategy == ExecutionStrategy::kRecompute) saved_result_ = spj;
-    note.delta.inserted = Relation(spj.schema());
-    note.delta.deleted = Relation(spj.schema());
-  } else {
-    note.delta.inserted = Relation(spj.schema());
-    note.delta.deleted = Relation(spj.schema());
-    note.complete = spj;
-    if (spec_.mode == DeliveryMode::kComplete ||
-        spec_.strategy == ExecutionStrategy::kRecompute) {
-      saved_result_ = std::move(spj);
-    }
+    note.complete = distinct_from_counts(*result_counts_, note.delta.inserted.schema());
   }
 
   reprime_pending_ = false;
@@ -336,27 +343,19 @@ void ContinualQuery::restore(const cat::Database& db, Timestamp last_execution,
   DiffResult inverted;
   inverted.inserted = std::move(window.deleted);
   inverted.deleted = std::move(window.inserted);
-  spj = apply_diff(spj, inverted);
-
-  if (spec_.query.is_aggregate()) {
-    agg_state_.emplace(spj.schema(), spec_.query.group_by, spec_.query.aggregates);
-    agg_state_->initialize(spj);
-    if (spec_.strategy == ExecutionStrategy::kRecompute) saved_result_ = std::move(spj);
-  } else if (spec_.query.distinct) {
-    result_counts_.emplace();
-    for (const auto& row : spj.rows()) result_counts_->add(row, +1);
-    if (spec_.strategy == ExecutionStrategy::kRecompute) saved_result_ = std::move(spj);
-  } else if (spec_.mode == DeliveryMode::kComplete ||
-             spec_.strategy == ExecutionStrategy::kRecompute) {
-    saved_result_ = std::move(spj);
-  }
-
+  load_state(apply_diff(spj, inverted));
   executions_ = executions;
   last_exec_ = last_execution;
 }
 
 Notification ContinualQuery::execute(const cat::Database& db, common::Metrics* metrics,
-                                     DraStats* stats, const delta::SnapshotMap* snapshots) {
+                                     DraStats* stats) {
+  return execute(db, snapshot_deltas(db, relations_), metrics, stats);
+}
+
+Notification ContinualQuery::execute(const cat::Database& db,
+                                     const delta::SnapshotMap& snapshots,
+                                     common::Metrics* metrics, DraStats* stats) {
   if (executions_ == 0) return execute_initial(db, metrics);
   if (needs_reprime()) {
     // State the strategy/mode relies on is gone (explicit invalidation, or

@@ -128,13 +128,16 @@ class ContinualQuery {
   [[nodiscard]] Notification execute_initial(const cat::Database& db,
                                              common::Metrics* metrics = nullptr);
 
-  /// Subsequent execution E_i, differential per the configured strategy.
-  /// `snapshots` (optional) routes delta reads through the per-dispatch
-  /// pinned snapshot set built by the parallel evaluation engine.
+  /// Subsequent execution E_i, differential per the configured strategy,
+  /// reading deltas through `snapshots` (which must cover relations()).
+  [[nodiscard]] Notification execute(const cat::Database& db,
+                                     const delta::SnapshotMap& snapshots,
+                                     common::Metrics* metrics = nullptr,
+                                     DraStats* stats = nullptr);
+  /// The same over a fresh snapshot of relations().
   [[nodiscard]] Notification execute(const cat::Database& db,
                                      common::Metrics* metrics = nullptr,
-                                     DraStats* stats = nullptr,
-                                     const delta::SnapshotMap* snapshots = nullptr);
+                                     DraStats* stats = nullptr);
 
   /// Restore the runtime state of a CQ that had last executed at
   /// `last_execution` (with `executions` completed) against a database
@@ -147,11 +150,11 @@ class ContinualQuery {
   void restore(const cat::Database& db, common::Timestamp last_execution,
                std::uint64_t executions);
 
-  /// Evaluate the trigger / stop conditions.
+  /// Evaluate the trigger / stop conditions against `snapshots`.
   [[nodiscard]] bool should_fire(const cat::Database& db,
-                                 const delta::SnapshotMap* snapshots = nullptr) const;
+                                 const delta::SnapshotMap& snapshots) const;
   [[nodiscard]] bool should_stop(const cat::Database& db,
-                                 const delta::SnapshotMap* snapshots = nullptr) const;
+                                 const delta::SnapshotMap& snapshots) const;
   void mark_finished() noexcept { finished_ = true; }
 
   /// Drop every maintained per-mode artifact (saved previous result,
@@ -192,10 +195,13 @@ class ContinualQuery {
 
  private:
   [[nodiscard]] TriggerContext context(const cat::Database& db,
-                                       const delta::SnapshotMap* snapshots) const;
+                                       const delta::SnapshotMap& snapshots) const;
   [[nodiscard]] qry::SpjQuery spj_core() const;
   /// The aggregate relation as the user sees it (HAVING applied).
   [[nodiscard]] rel::Relation delivered_aggregate() const;
+  /// Rebuild the per-mode state (aggregate accumulators, DISTINCT counts,
+  /// saved result) from the SPJ core result `spj`.
+  void load_state(rel::Relation spj);
   /// Full recompute + per-mode state rebuild; shared by execute_initial
   /// and the re-prime path. Fills everything in the notification except
   /// the sequence number, and sets last_exec_ to now.

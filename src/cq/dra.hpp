@@ -63,18 +63,24 @@ struct DraStats {
 /// `since`. Aggregates/DISTINCT must be handled by the caller (the
 /// ContinualQuery layer maintains them incrementally on top of ΔQ).
 ///
-/// When `snapshots` is non-null, delta reads for relations present in the
-/// map go through the shared pinned DeltaSnapshot instead of the live log
-/// (the parallel evaluation engine builds one map per commit); relations
-/// absent from the map fall back to db.delta(). Base-table reads always
+/// Delta reads go through `snapshots`, which must cover every FROM table
+/// (the CQ manager builds one map per dispatch). Base-table reads always
 /// hit the live catalog — commits are serialized with dispatch, so the
 /// base state cannot move underneath an evaluation.
 [[nodiscard]] DiffResult dra_differential(const qry::SpjQuery& query,
                                           const cat::Database& db,
                                           common::Timestamp since,
+                                          common::Metrics* metrics,
+                                          const DraOptions& options,
+                                          DraStats* stats,
+                                          const delta::SnapshotMap& snapshots);
+
+/// The same over a fresh snapshot of the query's FROM tables.
+[[nodiscard]] DiffResult dra_differential(const qry::SpjQuery& query,
+                                          const cat::Database& db,
+                                          common::Timestamp since,
                                           common::Metrics* metrics = nullptr,
                                           const DraOptions& options = {},
-                                          DraStats* stats = nullptr,
-                                          const delta::SnapshotMap* snapshots = nullptr);
+                                          DraStats* stats = nullptr);
 
 }  // namespace cq::core

@@ -36,22 +36,8 @@ rel::Relation EpsilonView::current_result(const Notification& n) const {
 
 double EpsilonView::pending_drift() const {
   if (!spec_.max_drift) return 0.0;
-  const auto& delta = db_.delta(spec_.drift_table);
-  // Pin before the net_effect scan: drift is computed outside any engine
-  // lock, so GC must be held off for the duration of the read.
-  const auto pin = delta.pin_reads();
-  if (!delta.changed_since(cq_.last_execution())) return 0.0;
-  const std::size_t col = delta.base_schema().index_of(spec_.drift_column);
-  double drift = 0.0;
-  for (const auto& row : delta.net_effect(cq_.last_execution())) {
-    if (row.new_values && !(*row.new_values)[col].is_null()) {
-      drift += (*row.new_values)[col].numeric();
-    }
-    if (row.old_values && !(*row.old_values)[col].is_null()) {
-      drift -= (*row.old_values)[col].numeric();
-    }
-  }
-  return drift;
+  return sum_drift(delta::DeltaSnapshot(db_.delta(spec_.drift_table)), cq_.last_execution(),
+                   spec_.drift_column);
 }
 
 void EpsilonView::refresh() {

@@ -11,7 +11,7 @@
 // row), and feeds the lineage_fanin histogram + lineage_bytes gauge.
 //
 // Thread safety: recording happens at the manager's serialized delivery
-// points (sequential run, parallel merge, execute_now) while the
+// points (CqManager::deliver and install) while the
 // introspection HTTP server reads from its own thread — hence the mutex.
 #pragma once
 

@@ -84,14 +84,14 @@ class CqManager {
   Notification execute_now(CqHandle handle);
 
   /// Number of evaluation lanes used per dispatch (poll / eager commit).
-  /// 1 (the default) keeps the historical sequential code path and is
-  /// bit-identical to it; n > 1 evaluates trigger-eligible CQs on a
+  /// Every dispatch snapshots the deltas its eligible CQs read, evaluates
+  /// them against the snapshots, then merges every side effect —
+  /// notifications, stats, metrics, zone advances — in handle order. 1
+  /// (the default) evaluates inline on the dispatching thread; n > 1 on a
   /// thread pool of n lanes (n − 1 pool workers plus the dispatching
-  /// thread) against shared pinned delta snapshots, then merges every
-  /// side effect — notifications, stats, metrics, zone advances — in
-  /// handle order, so the observable stream is identical for any n as
-  /// long as sinks do not mutate the database (the determinism contract;
-  /// see docs/performance.md). 0 is treated as 1.
+  /// thread). The observable stream is identical for any n, including when
+  /// sinks commit (the determinism contract; see docs/performance.md).
+  /// 0 is treated as 1.
   void set_parallelism(std::size_t threads);
   [[nodiscard]] std::size_t parallelism() const noexcept { return threads_; }
 
@@ -174,34 +174,49 @@ class CqManager {
     delta::CqId zone_id = 0;
   };
 
-  /// Run one CQ, notify, advance its zone; finish it when Stop holds.
-  void run(CqHandle handle, Entry& entry);
-  void finish(CqHandle handle);
+  /// One eligible CQ's evaluation within a dispatch (defined in the .cpp).
+  struct Outcome;
+
+  /// Register a built entry; returns its handle.
+  CqHandle add_entry(Entry entry);
+  /// Uninstall a CQ (removal or Stop): mark it finished, release its zone.
+  /// False when the handle is gone.
+  bool finish(CqHandle handle, const char* reason);
   void on_commit(const std::vector<std::string>& tables, common::Timestamp ts);
   /// Closure callback registered with the database while eager: appends
   /// the read sets of every CQ whose relations intersect `write_set`, so
   /// the committer's shard lock set covers everything on_commit reads.
   void extend_closure(const std::vector<std::string>& write_set,
                       std::vector<std::string>& closure) const;
-  /// The handles whose read set intersects `tables` (all handles when
-  /// `tables` is nullptr), snapshotted under entries_mu_.
-  [[nodiscard]] std::vector<CqHandle> relevant_handles(
-      const std::vector<std::string>* tables) const;
   /// Entry lookup under entries_mu_; nullptr when the handle is gone.
   /// The returned pointer is stable (map nodes don't move) and the entry
   /// is safe to use under the exclusivity contract above.
   [[nodiscard]] Entry* find_entry(CqHandle handle);
-  /// Trigger-check bookkeeping shared by poll() and on_commit().
+  /// Trigger-check bookkeeping for one evaluated CQ.
   void record_check(const Entry& entry, bool fired);
   /// Retain a delivered notification's lineage (no-op when lineage is
-  /// off). Called only from serialized delivery points — the sequential
-  /// run, the parallel merge loop, execute_now and install.
+  /// off). Called only from serialized delivery points — deliver() and
+  /// install.
   void record_lineage(const Notification& note);
   CqStats& stats_of(const Entry& entry) CQ_REQUIRES(stats_mu_);
-  /// Parallel dispatch (threads_ > 1): snapshot the touched deltas once,
-  /// partition `handles` into read-set batches, evaluate on the pool, and
-  /// merge all side effects in handle order. Returns executions performed.
-  std::size_t dispatch_parallel(const std::vector<CqHandle>& handles);
+  /// The one dispatch path, for poll() and eager commits: snapshot the
+  /// touched deltas once, evaluate every CQ whose read set intersects
+  /// `tables` (every CQ when null) against them — inline at 1 lane, on
+  /// the pool otherwise — and merge all side effects in handle order.
+  /// Returns executions performed.
+  std::size_t dispatch(const std::vector<std::string>* tables);
+  /// Trigger-eligible evaluation of `out`: Stop, then the trigger, then
+  /// execute() when it fires. Captures a failure in `out.error`; false
+  /// when one occurred.
+  bool evaluate(Outcome& out, const delta::SnapshotMap& snapshots);
+  /// Run `out`'s CQ and test its Stop condition afterwards.
+  void execute(Outcome& out, const delta::SnapshotMap& snapshots);
+  /// Evaluate `outcomes` on the pool in read-set batches (threads_ > 1).
+  void evaluate_on_pool(std::vector<Outcome>& outcomes,
+                        const delta::SnapshotMap& snapshots);
+  /// Every side effect of one execution, in order: stats, metrics, events,
+  /// zone advance, lineage, sink; finishes the CQ when its Stop held.
+  void deliver(Outcome& out);
 
   // Concurrency contract (multi-writer commits): the entries_ map
   // *structure* is guarded by entries_mu_ — every iteration, find,
@@ -222,7 +237,7 @@ class CqManager {
   std::map<CqHandle, Entry> entries_;
   CqHandle next_handle_ = 1;
   bool eager_ = false;
-  std::size_t threads_ = 1;   // evaluation lanes (1 = sequential path)
+  std::size_t threads_ = 1;   // evaluation lanes (1 = inline, no pool)
   std::unique_ptr<common::ThreadPool> pool_;  // built lazily, threads_ - 1 workers
   /// run_all is not reentrant and the pool is one resource: concurrent
   /// dispatches race for it; losers evaluate their batches inline.

@@ -8,8 +8,7 @@ namespace cq::core {
 bool append_only_since(const qry::SpjQuery& query, const cat::Database& db,
                        common::Timestamp since) {
   for (const auto& ref : query.from) {
-    const auto& d = db.delta(ref.table);
-    const auto pin = d.pin_reads();  // hold GC off while scanning the window
+    const delta::DeltaSnapshot d(db.delta(ref.table));
     for (const auto& row : d.net_effect(since)) {
       if (row.kind() != delta::ChangeKind::kInsert) return false;
     }

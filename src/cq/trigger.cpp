@@ -6,6 +6,42 @@
 
 #include "common/error.hpp"
 
+namespace cq::core {
+
+void snapshot_deltas(const cat::Database& db, const std::vector<std::string>& tables,
+                     delta::SnapshotMap& snapshots) {
+  for (const auto& table : tables) {
+    if (!snapshots.contains(table)) {
+      snapshots.emplace(table, std::make_shared<delta::DeltaSnapshot>(db.delta(table)));
+    }
+  }
+}
+
+delta::SnapshotMap snapshot_deltas(const cat::Database& db,
+                                   const std::vector<std::string>& tables) {
+  delta::SnapshotMap snapshots;
+  snapshot_deltas(db, tables, snapshots);
+  return snapshots;
+}
+
+double sum_drift(const delta::DeltaSnapshot& snapshot, common::Timestamp since,
+                 const std::string& column) {
+  if (!snapshot.changed_since(since)) return 0.0;
+  const std::size_t col = snapshot.base_schema().index_of(column);
+  double drift = 0.0;
+  for (const auto& row : snapshot.net_effect(since)) {
+    if (row.new_values && !(*row.new_values)[col].is_null()) {
+      drift += (*row.new_values)[col].numeric();
+    }
+    if (row.old_values && !(*row.old_values)[col].is_null()) {
+      drift -= (*row.old_values)[col].numeric();
+    }
+  }
+  return drift;
+}
+
+}  // namespace cq::core
+
 namespace cq::core::triggers {
 
 using common::Duration;
@@ -57,11 +93,7 @@ class OnChangeTrigger final : public Trigger {
  public:
   bool should_fire(const TriggerContext& context) const override {
     for (const auto& table : context.relations) {
-      const auto* snap = context.snapshot_of(table);
-      const bool changed = snap != nullptr
-                               ? snap->changed_since(context.last_execution)
-                               : context.db.delta(table).changed_since(context.last_execution);
-      if (changed) return true;
+      if (context.snapshot(table).changed_since(context.last_execution)) return true;
     }
     return false;
   }
@@ -80,13 +112,8 @@ class ChangeCountTrigger final : public Trigger {
   bool should_fire(const TriggerContext& context) const override {
     std::size_t total = 0;
     for (const auto& table : context.relations) {
-      const auto* snap = context.snapshot_of(table);
-      const auto& delta = context.db.delta(table);
-      // Pin before the direct read; the snapshot path pins internally.
-      const auto pin = delta.pin_reads();
-      total += snap != nullptr
-                   ? snap->net_effect(context.last_execution).size()
-                   : delta.net_effect(context.last_execution).size();
+      const delta::DeltaSnapshot& snap = context.snapshot(table);
+      total += snap.net_effect(context.last_execution).size();
       if (total >= threshold_) return true;
     }
     return false;
@@ -111,28 +138,8 @@ class AggregateDriftTrigger final : public Trigger {
 
   bool should_fire(const TriggerContext& context) const override {
     // Differential form (Section 5.3): scan only ΔR with ts > t_last.
-    const auto* snap = context.snapshot_of(table_);
-    const auto& delta = context.db.delta(table_);
-    // Pin before the direct reads below; the snapshot path pins internally.
-    const auto pin = delta.pin_reads();
-    const bool changed = snap != nullptr ? snap->changed_since(context.last_execution)
-                                         : delta.changed_since(context.last_execution);
-    if (!changed) return false;
-    const std::size_t col = delta.base_schema().index_of(column_);
-    const std::vector<cq::delta::DeltaRow> live =
-        snap != nullptr ? std::vector<cq::delta::DeltaRow>{}
-                        : delta.net_effect(context.last_execution);
-    const auto& net = snap != nullptr ? snap->net_effect(context.last_execution) : live;
-    double drift = 0.0;
-    for (const auto& row : net) {
-      if (row.new_values && !(*row.new_values)[col].is_null()) {
-        drift += (*row.new_values)[col].numeric();
-      }
-      if (row.old_values && !(*row.old_values)[col].is_null()) {
-        drift -= (*row.old_values)[col].numeric();
-      }
-    }
-    return std::fabs(drift) >= epsilon_;
+    return std::fabs(sum_drift(context.snapshot(table_), context.last_execution,
+                               column_)) >= epsilon_;
   }
 
   std::string describe() const override {
@@ -140,6 +147,8 @@ class AggregateDriftTrigger final : public Trigger {
     os << "when |Δ SUM(" << table_ << "." << column_ << ")| >= " << epsilon_;
     return os.str();
   }
+
+  std::vector<std::string> tables() const override { return {table_}; }
 
  private:
   std::string table_;
@@ -181,6 +190,15 @@ class CompositeTrigger final : public Trigger {
     }
     os << ")";
     return os.str();
+  }
+
+  std::vector<std::string> tables() const override {
+    std::vector<std::string> out;
+    for (const auto& c : children_) {
+      const std::vector<std::string> child = c->tables();
+      out.insert(out.end(), child.begin(), child.end());
+    }
+    return out;
   }
 
  private:

@@ -180,7 +180,7 @@ class Mediator {
   [[nodiscard]] const core::CqManager& manager() const noexcept { return manager_; }
 
   /// Evaluation lanes for CQ dispatch after each sync round / commit.
-  /// Forwards to CqManager::set_parallelism; 1 = sequential (default).
+  /// Forwards to CqManager::set_parallelism; 1 = inline, no pool (default).
   void set_eval_threads(std::size_t threads) { manager_.set_parallelism(threads); }
   [[nodiscard]] std::size_t eval_threads() const noexcept {
     return manager_.parallelism();

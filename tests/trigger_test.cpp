@@ -23,9 +23,14 @@ struct Fixture {
                                                  {"amount", ValueType::kInt}}));
   }
 
+  /// A context over a fresh snapshot of `relations`, as a dispatch would
+  /// build it; valid until the next ctx() call.
   [[nodiscard]] TriggerContext ctx(Timestamp last, std::uint64_t executions = 1) const {
-    return TriggerContext{db, relations, last, db.clock().now(), executions};
+    snapshots = snapshot_deltas(db, relations);
+    return TriggerContext{db, relations, last, db.clock().now(), executions, snapshots};
   }
+
+  mutable delta::SnapshotMap snapshots;
 };
 
 TEST(PeriodicTrigger, FiresAfterInterval) {
