@@ -9,6 +9,7 @@
 #include "bench_support.hpp"
 #include "common/rng.hpp"
 #include "cq/manager.hpp"
+#include "delta/delta_snapshot.hpp"
 #include "workload/sweep.hpp"
 
 namespace cq::bench {
@@ -78,7 +79,10 @@ void BM_NetEffectCompaction(benchmark::State& state) {
   table.update(updates, {.modify_fraction = 0.9, .delete_fraction = 0.05});
 
   for (auto _ : state) {
-    const auto net = db.delta("S").net_effect(t0);
+    // A fresh snapshot per read, as each dispatch takes one: a reused
+    // snapshot would serve its memoized net effect.
+    const delta::DeltaSnapshot snap(db.delta("S"));
+    const auto& net = snap.net_effect(t0);
     benchmark::DoNotOptimize(&net);
     state.counters["raw_rows"] = static_cast<double>(db.delta("S").size());
     state.counters["net_rows"] = static_cast<double>(net.size());

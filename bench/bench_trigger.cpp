@@ -9,6 +9,7 @@
 #include "catalog/transaction.hpp"
 #include "common/rng.hpp"
 #include "cq/manager.hpp"
+#include "delta/delta_snapshot.hpp"
 #include "query/evaluate.hpp"
 #include "query/parser.hpp"
 #include "workload/accounts.hpp"
@@ -52,8 +53,8 @@ void BM_TriggerDifferential(benchmark::State& state) {
     const core::TriggerContext ctx{s.db, relations, s.t0, s.db.clock().now(), 1, snapshots};
     benchmark::DoNotOptimize(trigger->should_fire(ctx));
   }
-  state.counters["delta_rows"] =
-      static_cast<double>(s.db.delta("CheckingAccounts").net_effect(s.t0).size());
+  const delta::DeltaSnapshot snap(s.db.delta("CheckingAccounts"));
+  state.counters["delta_rows"] = static_cast<double>(snap.net_effect(s.t0).size());
 }
 
 /// Complete form: re-evaluate SUM(amount) over the whole base relation and

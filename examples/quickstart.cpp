@@ -10,6 +10,7 @@
 #include "catalog/transaction.hpp"
 #include "cq/dra.hpp"
 #include "cq/propagate.hpp"
+#include "delta/delta_snapshot.hpp"
 #include "query/parser.hpp"
 
 int main() {
@@ -41,10 +42,9 @@ int main() {
   txn.commit();
   std::cout << "After transaction T, the differential relation holds:\n"
             << db.delta("Stocks").to_string() << "\n";
-  std::cout << "insertions(ΔStocks):\n"
-            << db.delta("Stocks").insertions(t0).to_string() << "\n";
-  std::cout << "deletions(ΔStocks):\n"
-            << db.delta("Stocks").deletions(t0).to_string() << "\n";
+  const cq::delta::DeltaSnapshot stocks(db.delta("Stocks"));
+  std::cout << "insertions(ΔStocks):\n" << stocks.insertions(t0).to_string() << "\n";
+  std::cout << "deletions(ΔStocks):\n" << stocks.deletions(t0).to_string() << "\n";
 
   // --- 4. Differential re-evaluation (the DRA, Algorithm 1) ------------
   cq::core::DraStats stats;

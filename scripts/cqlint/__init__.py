@@ -1,7 +1,7 @@
 """cqlint — whole-project semantic analysis for the CQ engine.
 
 The analyzer extracts a backend-neutral fact model from every translation
-unit under src/ (see model.py) and runs the five rules in rules.py over
+unit under src/ (see model.py) and runs the four rules in rules.py over
 it. Two backends produce the facts:
 
   clang    libclang (clang.cindex) over the exported

@@ -3,10 +3,9 @@
 Parses every translation unit listed in the exported
 compile_commands.json (plus standalone files, e.g. the negative
 fixtures) and reduces the AST to model.Facts. Where the textual backend
-guesses receiver types from visible declarations, this backend reads
-them off the real type system: a net_effect() call is classified by the
-semantic parent of the method it resolves to, a switch by the enum
-declaration of its condition type.
+guesses types from visible declarations, this backend reads them off the
+real type system: a worker capture is typed by its declaration, a switch
+by the enum declaration of its condition type.
 
 The backend raises BackendUnavailable when python-clang or a loadable
 libclang shared object is missing; the CLI then falls back to the
@@ -20,8 +19,8 @@ import os
 import re
 from pathlib import Path
 
-from model import (CallSite, DeltaAccess, EnumInfo, Facts, GuardedField,
-                   LockScope, RefReturn, SwitchStmt, WorkerLambda)
+from model import (CallSite, EnumInfo, Facts, GuardedField, LockScope,
+                   RefReturn, SwitchStmt, WorkerLambda)
 
 try:  # deferred so `import clang_backend` itself never hard-fails
     import clang.cindex as ci
@@ -69,9 +68,6 @@ def make_index() -> "ci.Index":
         return ci.Index.create()
     except Exception as exc:  # LibclangError has varied types per version
         raise BackendUnavailable(f"libclang failed to load: {exc}") from exc
-
-
-_DELTA_METHODS = ("net_effect", "insertions", "deletions")
 
 
 class ClangBackend:
@@ -212,8 +208,6 @@ class ClangBackend:
             self._lock_scope(c, rel, line, facts, comp_stack)
         elif c.kind == K.CALL_EXPR and c.spelling == "run_all":
             self._workers(c, rel, facts, fn_stack, enclosing_name)
-        elif c.kind == K.CALL_EXPR and c.spelling in _DELTA_METHODS:
-            self._delta_access(c, rel, line, facts, fn_stack, enclosing_name)
         elif c.kind == K.SWITCH_STMT:
             self._switch(c, rel, line, facts)
 
@@ -345,43 +339,6 @@ class ClangBackend:
             if d.kind in (K.VAR_DECL, K.PARM_DECL) and d.spelling == name:
                 return d.type.spelling
         return ""
-
-    def _delta_access(self, c, rel, line, facts: Facts, fn_stack,
-                      enclosing_name) -> None:
-        ref = c.referenced
-        owner = ""
-        if ref is not None and ref.semantic_parent is not None:
-            owner = ref.semantic_parent.spelling
-        if owner == "DeltaSnapshot":
-            kind = "snapshot"
-        elif owner == "DeltaRelation":
-            kind = "relation"
-        else:
-            return  # unrelated method that happens to share a name
-        if not self._once("delta", rel, line, c.spelling):
-            return
-        toks = self._tokens(c)
-        recv = "".join(toks[:8])
-        recv = re.split(r"\.|->", recv)[0] or recv
-        pin = False
-        if fn_stack:
-            K = ci.CursorKind
-            for d in fn_stack[-1].walk_preorder():
-                if d.kind == K.VAR_DECL and "ReadPin" in d.type.spelling \
-                        and d.location.line <= line:
-                    pin = True
-                    break
-            # A class holding a ReadPin member (the DeltaSnapshot pattern)
-            # pins every member-function read for the object's lifetime.
-            cls = fn_stack[-1].semantic_parent
-            if not pin and cls is not None and cls.kind in (
-                    K.CLASS_DECL, K.STRUCT_DECL):
-                for fld in cls.get_children():
-                    if fld.kind == K.FIELD_DECL and "ReadPin" in fld.type.spelling:
-                        pin = True
-                        break
-        facts.delta_accesses.append(DeltaAccess(
-            rel, line, recv, kind, pin, enclosing_name()))
 
     def _switch(self, c, rel, line, facts: Facts) -> None:
         K = ci.CursorKind

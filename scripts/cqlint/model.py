@@ -95,20 +95,6 @@ class SwitchStmt:
 
 
 @dataclass
-class DeltaAccess:
-    """A call to net_effect()/insertions()/deletions() on some receiver."""
-
-    file: str
-    line: int
-    receiver: str               # source text of the receiver expression
-    #: "snapshot" (DeltaSnapshot — internally pinned), "relation"
-    #: (DeltaRelation — needs a live ReadPin), or "unknown"
-    receiver_kind: str
-    pin_in_scope: bool          # a ReadPin is live in the enclosing function
-    enclosing: str
-
-
-@dataclass
 class Facts:
     """Everything the rules need, for one analysis run."""
 
@@ -118,7 +104,6 @@ class Facts:
     lock_scopes: list[LockScope] = field(default_factory=list)
     worker_lambdas: list[WorkerLambda] = field(default_factory=list)
     switches: list[SwitchStmt] = field(default_factory=list)
-    delta_accesses: list[DeltaAccess] = field(default_factory=list)
 
     def merge(self, other: "Facts") -> None:
         self.enums.extend(other.enums)
@@ -127,7 +112,6 @@ class Facts:
         self.lock_scopes.extend(other.lock_scopes)
         self.worker_lambdas.extend(other.worker_lambdas)
         self.switches.extend(other.switches)
-        self.delta_accesses.extend(other.delta_accesses)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,9 @@
-"""The five cqlint rules — policy over the backend-neutral fact model.
+"""The four cqlint rules — policy over the backend-neutral fact model.
 
   guarded-ref-escape   methods returning references/pointers to fields
                        guarded by a cq::common::Mutex: the reference
                        outlives the lock the moment the accessor returns
                        (the scrape-vs-engine race class).
-  pin-before-snapshot  DeltaRelation::net_effect / insertions / deletions
-                       reads must happen under a live ReadPin (or through
-                       a DeltaSnapshot, which pins internally) — the
-                       static leg of GC's never-truncate-under-a-reader
-                       contract.
   blocking-under-lock  no sleeps, file/socket I/O, ThreadPool::run_all or
                        foreign-condvar waits while a named Mutex is held
                        — the static complement of the runtime lockdep.
@@ -28,7 +23,6 @@ from model import Facts, Finding
 
 RULE_IDS = (
     "guarded-ref-escape",
-    "pin-before-snapshot",
     "blocking-under-lock",
     "worker-purity",
     "exhaustive-switch",
@@ -74,8 +68,6 @@ def run_rules(facts: Facts, enabled: set[str] | None = None) -> list[Finding]:
     active = enabled or set(RULE_IDS)
     if "guarded-ref-escape" in active:
         findings += guarded_ref_escape(facts)
-    if "pin-before-snapshot" in active:
-        findings += pin_before_snapshot(facts)
     if "blocking-under-lock" in active:
         findings += blocking_under_lock(facts)
     if "worker-purity" in active:
@@ -102,24 +94,6 @@ def guarded_ref_escape(facts: Facts) -> list[Finding]:
                     "critical section; return a copy or document why the "
                     "referent is immutable"))
                 break
-    return out
-
-
-def pin_before_snapshot(facts: Facts) -> list[Finding]:
-    out = []
-    for a in facts.delta_accesses:
-        if a.receiver_kind == "snapshot":
-            continue  # DeltaSnapshot holds its own ReadPin
-        if a.pin_in_scope:
-            continue
-        kind = ("DeltaRelation" if a.receiver_kind == "relation"
-                else "unresolved receiver (treated as DeltaRelation)")
-        out.append(Finding(
-            "pin-before-snapshot", a.file, a.line, a.enclosing,
-            f"`{a.receiver}` ({kind}) is read without a live ReadPin in "
-            "scope — GC may truncate the rows mid-read; take "
-            "`auto pin = rel.pin_reads();` first or go through a "
-            "DeltaSnapshot"))
     return out
 
 

@@ -8,8 +8,8 @@ a `// cqlint-expect: <rule>` comment. The self-test runs the analyzer
      small line tolerance — backends anchor findings slightly
      differently), and
   2. the rule produced no findings *away* from the marks — the fixtures
-     contain deliberate near-misses (loud defaults, pinned reads, pure
-     captures) that a sloppy rule would flag.
+     contain deliberate near-misses (loud defaults, pure captures,
+     locals) that a sloppy rule would flag.
 
 Then the baseline machinery is checked: a justification-free suppression
 and a stale suppression must both be rejected.
@@ -24,6 +24,7 @@ from pathlib import Path
 from baseline import Baseline, Suppression
 from cli import REPO, analyze
 from model import Finding
+from rules import RULE_IDS
 
 FIXTURE_DIR = REPO / "tests" / "negative" / "cqlint"
 EXPECT_RE = re.compile(r"//\s*cqlint-expect:\s*([\w-]+)")
@@ -65,9 +66,10 @@ def check_fixture(path: Path, findings: list[Finding]) -> list[str]:
 def self_test(backend: str, require_clang: bool) -> int:
     failures: list[str] = []
     fixtures = sorted(FIXTURE_DIR.glob("*.cpp"))
-    if len(fixtures) < 5:
-        print(f"self-test: only {len(fixtures)} fixture(s) under "
-              f"{FIXTURE_DIR} — need one per rule", file=sys.stderr)
+    covered = {rule for fx in fixtures for _, rule in fixture_expectations(fx)}
+    if missing := sorted(set(RULE_IDS) - covered):
+        print(f"self-test: no fixture under {FIXTURE_DIR} proves "
+              f"{', '.join(missing)} — need one per rule", file=sys.stderr)
         return 1
     backend_used = ""
     for fx in fixtures:

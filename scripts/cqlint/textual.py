@@ -13,8 +13,8 @@ import re
 from pathlib import Path
 
 from lex import Source, parse_sig, split_commas
-from model import (CallSite, DeltaAccess, EnumInfo, Facts, GuardedField,
-                   LockScope, RefReturn, SwitchStmt, WorkerLambda)
+from model import (CallSite, EnumInfo, Facts, GuardedField, LockScope,
+                   RefReturn, SwitchStmt, WorkerLambda)
 
 ENUM_RE = re.compile(r"\benum\s+class\s+(\w+)\s*(?::[^{;]+)?\{")
 VARIANT_RE = re.compile(r"\b(k[A-Z]\w*)\b")
@@ -33,7 +33,6 @@ DEFAULT_RE = re.compile(r"\bdefault\s*:")
 LOUD_DEFAULT_RE = re.compile(
     r"\bthrow\b|\bfail\s*\(|\babort\s*\(|\bunreachable\b|assert\s*\(\s*false"
 )
-DELTA_ACCESS_RE = re.compile(r"(?:\.|->)\s*(net_effect|insertions|deletions)\s*\(")
 IDENT_RE = re.compile(r"\b[A-Za-z_]\w*\b")
 
 
@@ -47,33 +46,6 @@ def _match_paren(text: str, open_idx: int) -> int:
             if depth == 0:
                 return i
     return len(text) - 1
-
-
-def _receiver_before(text: str, dot_idx: int) -> str:
-    """The receiver expression ending right before `.`/`->` at dot_idx,
-    scanned backwards over identifiers, ::, member ops and balanced
-    ()/[] groups."""
-    i = dot_idx
-    while i > 0:
-        c = text[i - 1]
-        if c in ")]":
-            depth, close = 0, c
-            open_c = "(" if c == ")" else "["
-            while i > 0:
-                i -= 1
-                if text[i] == close:
-                    depth += 1
-                elif text[i] == open_c:
-                    depth -= 1
-                    if depth == 0:
-                        break
-        elif c.isalnum() or c in "_:":
-            i -= 1
-        elif c in ".>" or (c == "-" and i > 1 and text[i - 2] != "-"):
-            i -= 1
-        else:
-            break
-    return text[i:dot_idx].strip().lstrip(".->")
 
 
 class TextualBackend:
@@ -100,7 +72,6 @@ class TextualBackend:
             self._lock_scopes(src, facts)
             self._worker_lambdas(src, facts)
             self._switches(src, facts)
-            self._delta_accesses(src, facts)
         return facts
 
     # ------------------------------------------------------------- enums --
@@ -273,48 +244,3 @@ class TextualBackend:
                 src.path, src.line_of(m.start()), enum_name,
                 tuple(v for _, v in labels), has_default, loud,
                 src.line_of(default_idx) if has_default else 0))
-
-    # --------------------------------------------------- delta accesses --
-    def _delta_accesses(self, src: Source, facts: Facts) -> None:
-        for m in DELTA_ACCESS_RE.finditer(src.text):
-            receiver = _receiver_before(src.text, m.start())
-            if not receiver:
-                continue
-            fn = src.enclosing_function(m.start())
-            if fn is not None:
-                fn_sig, fn_open, _, _ = fn
-                _, _, fn_name = parse_sig(fn_sig)
-            else:
-                fn_sig, fn_open, fn_name = "", 0, "<file scope>"
-            kind = self._classify_receiver(src, receiver, fn_sig, fn_open, m.start())
-            pre = src.text[fn_open : m.start()] + " " + fn_sig
-            pin = bool(re.search(r"\bpin_reads\s*\(|\bReadPin\b", pre))
-            if not pin:
-                # A class holding a ReadPin member (the DeltaSnapshot
-                # pattern) pins every member-function read for the
-                # object's whole lifetime.
-                _, c_open, c_close = src.enclosing_class_span(m.start())
-                if c_open >= 0 and re.search(
-                        r"\bReadPin\s+\w+", src.text[c_open:c_close]):
-                    pin = True
-            facts.delta_accesses.append(DeltaAccess(
-                src.path, src.line_of(m.start()), receiver, kind, pin,
-                fn_name or "<file scope>"))
-
-    def _classify_receiver(self, src: Source, receiver: str, fn_sig: str,
-                           fn_open: int, idx: int) -> str:
-        if re.search(r"(?:\.|->|^)delta\s*\($", receiver.split("(")[0] + "(") or \
-           re.search(r"(?:\.|->)delta\s*\(", receiver):
-            return "relation"
-        base = re.match(r"[A-Za-z_]\w*", receiver)
-        if base is None:
-            return "unknown"
-        name = base.group(0)
-        if re.search(r"\bsnap(shot)?s?\b", name, re.IGNORECASE):
-            return "snapshot"
-        decl_type = self._decl_type(src, name, idx) + " " + fn_sig
-        if "DeltaSnapshot" in decl_type or "SnapshotMap" in decl_type:
-            return "snapshot"
-        if "DeltaRelation" in decl_type:
-            return "relation"
-        return "unknown"

@@ -49,13 +49,6 @@ Rules (scoped to src/ and examples/ unless noted):
                   bug into a no-symptom bug; the sanctioned swallows
                   (tracing must never take the engine down) all say so.
 
-  cq-live-delta   No `pin_reads(` under src/cq/. Every delta read there goes
-                  through a delta::DeltaSnapshot (which pins internally);
-                  with cqlint's pin-before-snapshot rule, which flags an
-                  unpinned live read, this makes "src/cq reads deltas only
-                  through snapshots" a checked invariant: a live read would
-                  need a hand-placed pin, and that pin is what fires here.
-
   unnamed-mutex   Every cq::common::Mutex declared in library or example
                   code carries a site name (and, for engine-lifetime locks,
                   a LockRank): `Mutex mu_{"site", LockRank::kX};`. An
@@ -92,9 +85,6 @@ UNNAMED_MUTEX_RE = re.compile(
 STRING_COUNTER_RE = re.compile(r"\.add\(\s*\"")
 IOSTREAM_RE = re.compile(r"#include\s*<iostream>|std::(cout|cerr|clog)\b")
 COMMENT_RE = re.compile(r"^\s*(//|\*|/\*)")
-
-PIN_READS_RE = re.compile(r"\bpin_reads\s*\(")
-CQ_LIVE_DELTA_PREFIX = "src/cq/"
 
 RAW_MUTEX_ALLOWED = {"src/common/sync.hpp"}
 RAW_THREAD_ALLOWED_PREFIX = "src/common/"
@@ -175,12 +165,6 @@ def lint_tree(repo: Path) -> list[str]:
                     f"{rp}:{lineno}: string-counter: string-keyed .add(\"...\") — "
                     "intern the counter in metric::Id (common/metrics.hpp)"
                 )
-            if rp.startswith(CQ_LIVE_DELTA_PREFIX) and PIN_READS_RE.search(code):
-                errors.append(
-                    f"{rp}:{lineno}: cq-live-delta: pin_reads() in src/cq — read "
-                    "the delta through a delta::DeltaSnapshot (the dispatch's "
-                    "SnapshotMap, or snapshot_deltas() for a one-off read)"
-                )
             if rp not in RAW_MUTEX_ALLOWED and UNNAMED_MUTEX_RE.search(code):
                 errors.append(
                     f"{rp}:{lineno}: unnamed-mutex: Mutex without a site name — "
@@ -255,10 +239,6 @@ def self_test() -> int:
         "iostream": ("src/bad_print.cpp", "#include <iostream>\n"),
         "fuzz-corpus": ("fuzz/fuzz_orphan.cpp", "int orphan_target();\n"),
         "unnamed-mutex": ("src/bad_anon_mutex.cpp", "struct S { common::Mutex mu_; };\n"),
-        "cq-live-delta": (
-            "src/cq/bad_live_read.cpp",
-            "void f(const D& d) { const auto pin = d.pin_reads(); g(d.net_effect(t)); }\n",
-        ),
         "swallowed-exception": (
             "src/bad_catch.cpp",
             "void f() { try { g(); } catch (...) { count += 1; } }\n",
@@ -284,10 +264,6 @@ def self_test() -> int:
         clean = Path(tmp)
         (clean / "src").mkdir()
         (clean / "src" / "ok.hpp").write_text("#pragma once\nstruct Ok {};\n")
-        # Pinning outside src/cq (the diom sources, delta itself) is fine.
-        (clean / "src" / "diom").mkdir()
-        (clean / "src" / "diom" / "ok_pin.cpp").write_text(
-            "void f(const D& d) { const auto pin = d.pin_reads(); }\n")
         leftovers = lint_tree(clean)
         if leftovers:
             print(f"self-test: clean tree flagged: {leftovers}", file=sys.stderr)

@@ -118,17 +118,15 @@ ContinualQuery::Staleness ContinualQuery::staleness(const cat::Database& db) con
   for (std::size_t i = 0; i < core.from.size(); ++i) {
     const delta::DeltaSnapshot d(db.delta(core.from[i].table));
     if (!d.changed_since(last_exec_)) continue;
-    Relation ins = d.insertions(last_exec_);
-    Relation del = d.deletions(last_exec_);
+    const Relation& ins = d.insertions(last_exec_);
+    const Relation& del = d.deletions(last_exec_);
     out.pending_changes += ins.size() + del.size();
     const alg::ExprPtr f = planned.filter(i);
     if (alg::is_always_true(f)) {
       out.relevant_changes += ins.size() + del.size();
     } else {
-      ins.set_schema(schemas[i]);
-      del.set_schema(schemas[i]);
-      out.relevant_changes +=
-          alg::select(ins, *f).size() + alg::select(del, *f).size();
+      out.relevant_changes += alg::select(ins, schemas[i], *f).size() +
+                              alg::select(del, schemas[i], *f).size();
     }
   }
   return out;

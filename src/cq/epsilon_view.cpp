@@ -17,12 +17,22 @@ CqSpec view_spec(std::string name, const std::string& sql) {
 EpsilonView::EpsilonView(std::string name, const std::string& sql, cat::Database& db,
                          Spec spec)
     : db_(db), spec_(std::move(spec)), cq_(view_spec(std::move(name), sql), db) {
-  if (spec_.max_drift && (spec_.drift_table.empty() || spec_.drift_column.empty())) {
-    throw common::InvalidArgument(
-        "EpsilonView: max_drift needs drift_table and drift_column");
-  }
-  if (spec_.max_drift && *spec_.max_drift < 0) {
-    throw common::InvalidArgument("EpsilonView: max_drift must be non-negative");
+  if (spec_.max_drift) {
+    if (*spec_.max_drift < 0) {
+      throw common::InvalidArgument("EpsilonView: max_drift must be non-negative");
+    }
+    if (!db_.has_table(spec_.drift_table)) {
+      throw common::InvalidArgument("EpsilonView: max_drift needs an existing drift_table, "
+                                    "not '" + spec_.drift_table + "'");
+    }
+    const rel::Schema& schema = db_.table(spec_.drift_table).schema();
+    const auto col = schema.find(spec_.drift_column);
+    if (!col || (schema.at(*col).type != rel::ValueType::kInt &&
+                 schema.at(*col).type != rel::ValueType::kDouble)) {
+      throw common::InvalidArgument("EpsilonView: drift_column '" + spec_.drift_column +
+                                    "' is not a numeric column of '" +
+                                    spec_.drift_table + "'");
+    }
   }
   const Notification initial = cq_.execute_initial(db_);
   cached_ = current_result(initial);

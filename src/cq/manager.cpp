@@ -394,42 +394,23 @@ std::size_t CqManager::dispatch(const std::vector<std::string>* tables) {
 
 void CqManager::evaluate_on_pool(std::vector<Outcome>& outcomes,
                                  const delta::SnapshotMap& snapshots) {
-  // Partition into batches keyed by the relations each CQ reads: CQs over
-  // one read set share the snapshot's memoized views, so keeping them on
-  // one lane maximizes cache reuse; a single hot read set is still
-  // sub-chunked so it spreads across all lanes instead of serializing.
-  std::map<std::string, std::vector<std::size_t>> by_read_set;
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    std::vector<std::string> key_parts = outcomes[i].entry->query->relations();
-    std::sort(key_parts.begin(), key_parts.end());
-    std::string key;
-    for (const auto& part : key_parts) {
-      key += part;
-      key += ',';
-    }
-    by_read_set[key].push_back(i);
-  }
-  std::vector<std::vector<std::size_t>> batches;
-  for (auto& [key, members] : by_read_set) {
-    const std::size_t chunk = (members.size() + threads_ - 1) / threads_;
-    for (std::size_t start = 0; start < members.size(); start += chunk) {
-      const std::size_t stop = std::min(start + chunk, members.size());
-      batches.emplace_back(members.begin() + static_cast<std::ptrdiff_t>(start),
-                           members.begin() + static_cast<std::ptrdiff_t>(stop));
-    }
-  }
-  parallelism_gauge().set(
-      static_cast<std::int64_t>(std::min(threads_, batches.size())));
+  // Contiguous handle-order chunks, one per lane (fewer when there are
+  // fewer CQs). CQs sharing a read set share the snapshot's memoized views
+  // whichever lane runs them.
+  const std::size_t m = outcomes.size();
+  const std::size_t lanes = std::min(threads_, m);
+  parallelism_gauge().set(static_cast<std::int64_t>(lanes));
 
   static obs::Histogram& batch_hist = obs::global().histogram(obs::hist::kEvalBatchUs);
   std::vector<std::function<void()>> tasks;
-  tasks.reserve(batches.size());
-  for (auto& batch : batches) {
-    tasks.emplace_back([this, &snapshots, &outcomes, batch = std::move(batch)] {
+  tasks.reserve(lanes);
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    tasks.emplace_back([this, &snapshots, &outcomes, begin = lane * m / lanes,
+                        end = (lane + 1) * m / lanes] {
       // Lands on the executing lane's track, carrying the dispatching
       // commit's trace id (the pool adopts the dispatcher's context).
       obs::Span batch_span("eval.batch", &batch_hist);
-      for (const std::size_t i : batch) (void)evaluate(outcomes[i], snapshots);
+      for (std::size_t i = begin; i < end; ++i) (void)evaluate(outcomes[i], snapshots);
     });
   }
   // One pool, many possible dispatchers: the lease loser (a concurrent

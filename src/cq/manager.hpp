@@ -211,7 +211,8 @@ class CqManager {
   bool evaluate(Outcome& out, const delta::SnapshotMap& snapshots);
   /// Run `out`'s CQ and test its Stop condition afterwards.
   void execute(Outcome& out, const delta::SnapshotMap& snapshots);
-  /// Evaluate `outcomes` on the pool in read-set batches (threads_ > 1).
+  /// Evaluate `outcomes` on the pool, one contiguous handle-order chunk
+  /// per lane (threads_ > 1).
   void evaluate_on_pool(std::vector<Outcome>& outcomes,
                         const delta::SnapshotMap& snapshots);
   /// Every side effect of one execution, in order: stats, metrics, events,

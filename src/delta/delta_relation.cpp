@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_map>
 
 #include "common/error.hpp"
 
 namespace cq::delta {
 
 using common::Timestamp;
-using rel::Relation;
 using rel::Tuple;
 using rel::TupleId;
 using rel::Value;
@@ -24,13 +22,7 @@ const char* to_string(ChangeKind kind) noexcept {
 }
 
 DeltaRelation::DeltaRelation(rel::Schema base_schema)
-    : base_schema_(std::move(base_schema)) {
-  rel::Schema doubled = base_schema_.doubled();
-  std::vector<rel::Attribute> wide = doubled.attributes();
-  wide.push_back({"__tid", rel::ValueType::kInt});
-  wide.push_back({"__ts", rel::ValueType::kInt});
-  wide_schema_ = rel::Schema(std::move(wide));
-}
+    : base_schema_(std::move(base_schema)) {}
 
 void DeltaRelation::check_values(
     const std::optional<std::vector<Value>>& values) const {
@@ -87,112 +79,13 @@ bool DeltaRelation::changed_since(Timestamp since) const noexcept {
   return !rows_.empty() && rows_.back().ts > since;
 }
 
-std::vector<DeltaRow> net_effect_of(const std::vector<DeltaRow>& rows, Timestamp since) {
-  std::vector<DeltaRow> out;
-  std::unordered_map<TupleId, std::size_t> position;  // tid -> index in out
-
-  // rows is ts-ordered; binary search the window start.
-  auto first = std::lower_bound(
-      rows.begin(), rows.end(), since,
-      [](const DeltaRow& r, Timestamp t) { return r.ts <= t; });
-
-  for (auto it = first; it != rows.end(); ++it) {
-    const DeltaRow& change = *it;
-    auto pos = position.find(change.tid);
-    if (pos == position.end()) {
-      position.emplace(change.tid, out.size());
-      out.push_back(change);
-      continue;
-    }
-    DeltaRow& acc = out[pos->second];
-    // Compose acc (earlier) with change (later). The earliest old half and
-    // the latest new half survive. The latest row also lends its (ts, seq)
-    // so the net row's lineage id resolves to a physical row in the log.
-    acc.new_values = change.new_values;
-    acc.ts = change.ts;
-    acc.seq = change.seq;
-  }
-
-  // Collapse no-ops: insert∘delete (both halves absent after composition is
-  // impossible by construction, so detect via kind) and modify that landed
-  // back on the original values.
-  std::vector<DeltaRow> compacted;
-  compacted.reserve(out.size());
-  for (auto& row : out) {
-    if (!row.old_values && !row.new_values) continue;  // defensive; unreachable
-    if (row.old_values && !row.new_values) {
-      compacted.push_back(std::move(row));  // net delete
-      continue;
-    }
-    if (!row.old_values && row.new_values) {
-      compacted.push_back(std::move(row));  // net insert
-      continue;
-    }
-    // Modify: drop when values are unchanged end-to-end.
-    const auto& o = *row.old_values;
-    const auto& n = *row.new_values;
-    bool identical = o.size() == n.size();
-    for (std::size_t i = 0; identical && i < o.size(); ++i) identical = o[i] == n[i];
-    if (!identical) compacted.push_back(std::move(row));
-  }
-  return compacted;
-}
-
-std::vector<DeltaRow> DeltaRelation::net_effect(Timestamp since) const {
-  return net_effect_of(rows_, since);
-}
-
-rel::Relation DeltaRelation::insertions(Timestamp since) const {
-  Relation out(base_schema_);
-  const bool lineage = rel::prov::enabled();
-  for (const auto& row : net_effect(since)) {
-    if (!row.new_values) continue;
-    Tuple t(*row.new_values, row.tid);
-    if (lineage) t.set_prov(rel::prov::leaf(prov_id_of(row)));
-    out.append(std::move(t));
-  }
-  return out;
-}
-
-rel::Relation DeltaRelation::deletions(Timestamp since) const {
-  Relation out(base_schema_);
-  const bool lineage = rel::prov::enabled();
-  for (const auto& row : net_effect(since)) {
-    if (!row.old_values) continue;
-    Tuple t(*row.old_values, row.tid);
-    if (lineage) t.set_prov(rel::prov::leaf(prov_id_of(row)));
-    out.append(std::move(t));
-  }
-  return out;
-}
-
-rel::Relation DeltaRelation::as_wide_relation(Timestamp since) const {
-  Relation out(wide_schema_);
-  const std::size_t n = base_schema_.size();
-  for (const auto& row : net_effect(since)) {
-    std::vector<Value> values;
-    values.reserve(2 * n + 2);
-    for (std::size_t i = 0; i < n; ++i) {
-      values.push_back(row.old_values ? (*row.old_values)[i] : Value::null());
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      values.push_back(row.new_values ? (*row.new_values)[i] : Value::null());
-    }
-    values.emplace_back(static_cast<std::int64_t>(row.tid.raw()));
-    values.emplace_back(row.ts.ticks());
-    out.append(Tuple(std::move(values), row.tid));
-  }
-  return out;
-}
-
 DeltaRelation::ReadPin::ReadPin(std::shared_ptr<PinState> state)
     : state_(std::move(state)) {
   common::LockGuard lock(state_->mu);
   ++state_->pins;
 }
 
-void DeltaRelation::ReadPin::release() noexcept {
-  if (!state_) return;
+DeltaRelation::ReadPin::~ReadPin() {
   common::LockGuard lock(state_->mu);
   --state_->pins;
 }

@@ -8,11 +8,11 @@
 // transactions; rows older than every active CQ's last execution are
 // reclaimed by garbage collection (Section 5.4, delta_zone.hpp).
 //
-// Two derived views drive all differential evaluation:
-//   insertions(since): tuples added to R after `since` (inserts + the new
-//                      versions of modifications);
-//   deletions(since):  tuples removed from R after `since` (deletes + the
-//                      old versions of modifications).
+// DeltaRelation only records and reclaims. Everything derived from the
+// log — the net effect, insertions(ΔR), deletions(ΔR) and the wide layout
+// above — is read through a delta::DeltaSnapshot (delta_snapshot.hpp),
+// which pins the log against garbage collection while it reads. The pin
+// API is private to the snapshot, so no other reader can exist.
 #pragma once
 
 #include <cstddef>
@@ -55,13 +55,6 @@ struct DeltaRow {
   [[nodiscard]] std::size_t byte_size() const noexcept;
 };
 
-/// Net effect per tid of all changes in `rows` strictly after `since`, in
-/// first-seen order (see DeltaRelation::net_effect for the collapse rules).
-/// `rows` must be ts-ordered. Shared by DeltaRelation and DeltaSnapshot so
-/// the live log and a pinned snapshot derive byte-identical views.
-[[nodiscard]] std::vector<DeltaRow> net_effect_of(const std::vector<DeltaRow>& rows,
-                                                  common::Timestamp since);
-
 class DeltaRelation {
   /// Shared between the relation and its outstanding ReadPins: the pin
   /// count gates garbage collection. Held by shared_ptr so DeltaRelation
@@ -91,10 +84,6 @@ class DeltaRelation {
     return {row.ts.ticks(), prov_rel_, row.seq};
   }
 
-  /// Schema of the wide differential view: old half, new half, then
-  /// "__tid" and "__ts" bookkeeping columns (both INT).
-  [[nodiscard]] const rel::Schema& wide_schema() const noexcept { return wide_schema_; }
-
   // ---- recording (normally called by catalog::Database at commit) ----
   void record_insert(rel::TupleId tid, std::vector<rel::Value> values,
                      common::Timestamp ts);
@@ -117,60 +106,7 @@ class DeltaRelation {
   /// True when at least one change is strictly after `since`.
   [[nodiscard]] bool changed_since(common::Timestamp since) const noexcept;
 
-  // ---- derived views ----
-
-  /// Net effect per tid of all changes strictly after `since`, in first-seen
-  /// order. Guarantees the paper's "no tid appears in multiple rows"
-  /// invariant for the queried window: consecutive changes to one tid
-  /// collapse (insert∘modify = insert, insert∘delete = nothing,
-  /// modify∘modify = one modify, modify∘delete = delete). A modification
-  /// whose old and new values are identical also collapses to nothing.
-  [[nodiscard]] std::vector<DeltaRow> net_effect(common::Timestamp since) const;
-
-  /// insertions(ΔR) restricted to ts > since, as a relation over the base
-  /// schema. Rows carry their tids. Computed from the net effect.
-  [[nodiscard]] rel::Relation insertions(common::Timestamp since) const;
-
-  /// deletions(ΔR) restricted to ts > since, over the base schema.
-  [[nodiscard]] rel::Relation deletions(common::Timestamp since) const;
-
-  /// The wide differential view (net effect, ts > since) as a relation over
-  /// wide_schema(), for direct evaluation of differential predicates like
-  ///   price_old > 120 AND price_new > 120 AND __ts > t_i   (Section 4.2).
-  [[nodiscard]] rel::Relation as_wide_relation(common::Timestamp since) const;
-
   // ---- garbage collection (Section 5.4) ----
-
-  /// RAII read pin: while at least one pin is alive, truncate_before is a
-  /// no-op, so a concurrent evaluation holding a DeltaSnapshot can keep
-  /// reading rows() without racing GC reclamation. Movable, not copyable.
-  class ReadPin {
-   public:
-    ReadPin() noexcept = default;
-    ReadPin(ReadPin&& other) noexcept : state_(std::move(other.state_)) {}
-    ReadPin& operator=(ReadPin&& other) noexcept {
-      if (this != &other) {
-        release();
-        state_ = std::move(other.state_);
-      }
-      return *this;
-    }
-    ReadPin(const ReadPin&) = delete;
-    ReadPin& operator=(const ReadPin&) = delete;
-    ~ReadPin() { release(); }
-
-   private:
-    friend class DeltaRelation;
-    explicit ReadPin(std::shared_ptr<PinState> state);
-    void release() noexcept;
-
-    std::shared_ptr<PinState> state_;
-  };
-
-  /// Pin the log against garbage collection for the lifetime of the
-  /// returned handle. The pin mutex hand-off also gives a happens-before
-  /// edge between the pinning thread and any GC pass it defers.
-  [[nodiscard]] ReadPin pin_reads() const;
 
   /// Number of live read pins (diagnostics / tests).
   [[nodiscard]] std::size_t read_pins() const;
@@ -197,10 +133,32 @@ class DeltaRelation {
   [[nodiscard]] std::string to_string(std::size_t max_rows = 50) const;
 
  private:
+  friend class DeltaSnapshot;
+
+  /// RAII read pin: while at least one pin is alive, truncate_before is a
+  /// no-op, so a DeltaSnapshot can keep reading rows() without racing GC
+  /// reclamation. Not copyable; pin_reads() returns it by guaranteed elision.
+  class ReadPin {
+   public:
+    ReadPin(const ReadPin&) = delete;
+    ReadPin& operator=(const ReadPin&) = delete;
+    ~ReadPin();
+
+   private:
+    friend class DeltaRelation;
+    explicit ReadPin(std::shared_ptr<PinState> state);
+
+    std::shared_ptr<PinState> state_;
+  };
+
+  /// Pin the log against garbage collection for the lifetime of the
+  /// returned handle. The pin mutex hand-off also gives a happens-before
+  /// edge between the pinning thread and any GC pass it defers.
+  [[nodiscard]] ReadPin pin_reads() const;
+
   void check_values(const std::optional<std::vector<rel::Value>>& values) const;
 
   rel::Schema base_schema_;
-  rel::Schema wide_schema_;
   std::uint32_t prov_rel_ = 0;   // interned lineage id; 0 = unnamed
   std::uint64_t next_seq_ = 0;   // monotone over the log's lifetime
   std::vector<DeltaRow> rows_;  // ts-ordered

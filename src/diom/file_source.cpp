@@ -95,8 +95,8 @@ rel::Relation FileSource::snapshot() const {
 }
 
 std::vector<delta::DeltaRow> FileSource::pull_deltas(common::Timestamp since) const {
-  const auto pin = log_.pin_reads();  // net_effect copies; pin covers the copy
-  return log_.net_effect(since);
+  const delta::DeltaSnapshot snap(log_);
+  return snap.net_effect(since);
 }
 
 }  // namespace cq::diom

@@ -20,9 +20,8 @@ rel::Relation RelationalSource::snapshot() const { return db_->table(table_); }
 
 std::vector<delta::DeltaRow> RelationalSource::pull_deltas(
     common::Timestamp since) const {
-  const auto& d = db_->delta(table_);
-  const auto pin = d.pin_reads();  // net_effect copies; pin covers the copy
-  return d.net_effect(since);
+  const delta::DeltaSnapshot snap(db_->delta(table_));
+  return snap.net_effect(since);
 }
 
 common::Timestamp RelationalSource::now() const { return db_->clock().now(); }

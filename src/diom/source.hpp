@@ -10,7 +10,7 @@
 
 #include "catalog/database.hpp"
 #include "common/timestamp.hpp"
-#include "delta/delta_relation.hpp"
+#include "delta/delta_snapshot.hpp"
 #include "relation/relation.hpp"
 
 namespace cq::diom {
@@ -40,7 +40,7 @@ class InformationSource {
 
 /// A source backed by one table of a relational Database — delta
 /// generation is "quite straightforward" (Section 5.5): it reads the
-/// table's differential relation directly.
+/// table's differential relation through a delta::DeltaSnapshot.
 class RelationalSource final : public InformationSource {
  public:
   /// The database must outlive the source.

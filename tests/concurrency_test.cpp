@@ -334,20 +334,22 @@ TEST(DeltaGcPins, GcDefersWhileSnapshotsArePinned) {
 
 TEST(DeltaGcPins, SnapshotReadersVsGarbageCollect) {
   // TSan half: reader threads continuously pin snapshots and walk their
-  // views while GC threads hammer truncation. The pin mutex hand-off is
-  // the only synchronization — the sanitizer lane proves it is enough.
+  // views, and a diom source pulls through snapshots of its own, while GC
+  // threads hammer truncation. The pin mutex hand-off is the only
+  // synchronization — the sanitizer lane proves it is enough.
   cat::Database db;
   db.create_table("T", rel::Schema::of({{"k", ValueType::kInt}}));
   constexpr int kRows = 64;
   for (int i = 0; i < kRows; ++i) db.insert("T", {Value(i)});
   const delta::DeltaRelation& d = db.delta("T");
+  const diom::RelationalSource source("T-source", db, "T");
 
   constexpr int kReaders = 3;
   constexpr int kGcThreads = 2;
   constexpr int kItersPerThread = 200;
   std::atomic<bool> incoherent{false};
   std::vector<std::thread> threads;
-  threads.reserve(kReaders + kGcThreads);
+  threads.reserve(kReaders + kGcThreads + 1);
   for (int r = 0; r < kReaders; ++r) {
     threads.emplace_back([&db, &d, &incoherent] {
       for (int i = 0; i < kItersPerThread; ++i) {
@@ -363,6 +365,20 @@ TEST(DeltaGcPins, SnapshotReadersVsGarbageCollect) {
       }
     });
   }
+  threads.emplace_back([&source, &incoherent] {
+    for (int i = 0; i < kItersPerThread; ++i) {
+      // Insert-only log: a pull sees a suffix of the inserts, never more.
+      const auto rows = source.pull_deltas(common::Timestamp::min());
+      if (rows.size() > static_cast<std::size_t>(kRows)) {
+        incoherent.store(true, std::memory_order_relaxed);
+      }
+      for (const auto& row : rows) {
+        if (row.kind() != delta::ChangeKind::kInsert) {
+          incoherent.store(true, std::memory_order_relaxed);
+        }
+      }
+    }
+  });
   for (int g = 0; g < kGcThreads; ++g) {
     threads.emplace_back([&db] {
       for (int i = 0; i < kItersPerThread; ++i) (void)db.garbage_collect();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "delta/delta_snapshot.hpp"
 #include "delta/delta_zone.hpp"
 
 namespace cq::delta {
@@ -25,15 +26,16 @@ TEST(DeltaRelation, RecordAndViews) {
   d.record_modify(TupleId(2), {Value("DEC"), Value(150)}, {Value("DEC"), Value(149)},
                   Timestamp(11));
   d.record_delete(TupleId(3), {Value("QLI"), Value(145)}, Timestamp(12));
+  const DeltaSnapshot snap(d);
 
   // insertions = inserts + new halves of modifications (Section 4.1).
-  const auto ins = d.insertions(Timestamp::min());
+  const auto& ins = snap.insertions(Timestamp::min());
   EXPECT_EQ(ins.size(), 2u);
   EXPECT_EQ(ins.count_value(Tuple({Value("MAC"), Value(117)})), 1u);
   EXPECT_EQ(ins.count_value(Tuple({Value("DEC"), Value(149)})), 1u);
 
   // deletions = deletes + old halves of modifications.
-  const auto del = d.deletions(Timestamp::min());
+  const auto& del = snap.deletions(Timestamp::min());
   EXPECT_EQ(del.size(), 2u);
   EXPECT_EQ(del.count_value(Tuple({Value("DEC"), Value(150)})), 1u);
   EXPECT_EQ(del.count_value(Tuple({Value("QLI"), Value(145)})), 1u);
@@ -44,9 +46,10 @@ TEST(DeltaRelation, TimestampWindow) {
   d.record_insert(TupleId(1), {Value("A"), Value(1)}, Timestamp(5));
   d.record_insert(TupleId(2), {Value("B"), Value(2)}, Timestamp(10));
   // ts > since is strict: a CQ executed exactly at ts=5 must not re-see it.
-  EXPECT_EQ(d.insertions(Timestamp(5)).size(), 1u);
-  EXPECT_EQ(d.insertions(Timestamp(4)).size(), 2u);
-  EXPECT_EQ(d.insertions(Timestamp(10)).size(), 0u);
+  const DeltaSnapshot snap(d);
+  EXPECT_EQ(snap.insertions(Timestamp(5)).size(), 1u);
+  EXPECT_EQ(snap.insertions(Timestamp(4)).size(), 2u);
+  EXPECT_EQ(snap.insertions(Timestamp(10)).size(), 0u);
   EXPECT_TRUE(d.changed_since(Timestamp(9)));
   EXPECT_FALSE(d.changed_since(Timestamp(10)));
 }
@@ -56,7 +59,8 @@ TEST(DeltaRelation, NetEffectInsertThenModify) {
   d.record_insert(TupleId(1), {Value("A"), Value(1)}, Timestamp(1));
   d.record_modify(TupleId(1), {Value("A"), Value(1)}, {Value("A"), Value(9)},
                   Timestamp(2));
-  const auto net = d.net_effect(Timestamp::min());
+  const DeltaSnapshot snap(d);
+  const auto& net = snap.net_effect(Timestamp::min());
   ASSERT_EQ(net.size(), 1u);
   EXPECT_EQ(net[0].kind(), ChangeKind::kInsert);
   EXPECT_EQ((*net[0].new_values)[1], Value(9));
@@ -66,9 +70,10 @@ TEST(DeltaRelation, NetEffectInsertThenDelete) {
   DeltaRelation d(stocks_schema());
   d.record_insert(TupleId(1), {Value("A"), Value(1)}, Timestamp(1));
   d.record_delete(TupleId(1), {Value("A"), Value(1)}, Timestamp(2));
-  EXPECT_TRUE(d.net_effect(Timestamp::min()).empty());
-  EXPECT_TRUE(d.insertions(Timestamp::min()).empty());
-  EXPECT_TRUE(d.deletions(Timestamp::min()).empty());
+  const DeltaSnapshot snap(d);
+  EXPECT_TRUE(snap.net_effect(Timestamp::min()).empty());
+  EXPECT_TRUE(snap.insertions(Timestamp::min()).empty());
+  EXPECT_TRUE(snap.deletions(Timestamp::min()).empty());
   // Raw log still holds both rows (several transactions' history).
   EXPECT_EQ(d.size(), 2u);
 }
@@ -79,7 +84,8 @@ TEST(DeltaRelation, NetEffectModifyChain) {
                   Timestamp(1));
   d.record_modify(TupleId(1), {Value("A"), Value(2)}, {Value("A"), Value(3)},
                   Timestamp(2));
-  const auto net = d.net_effect(Timestamp::min());
+  const DeltaSnapshot snap(d);
+  const auto& net = snap.net_effect(Timestamp::min());
   ASSERT_EQ(net.size(), 1u);
   EXPECT_EQ(net[0].kind(), ChangeKind::kModify);
   EXPECT_EQ((*net[0].old_values)[1], Value(1));  // earliest old
@@ -92,7 +98,8 @@ TEST(DeltaRelation, NetEffectModifyBackToOriginalCollapses) {
                   Timestamp(1));
   d.record_modify(TupleId(1), {Value("A"), Value(2)}, {Value("A"), Value(1)},
                   Timestamp(2));
-  EXPECT_TRUE(d.net_effect(Timestamp::min()).empty());
+  const DeltaSnapshot snap(d);
+  EXPECT_TRUE(snap.net_effect(Timestamp::min()).empty());
 }
 
 TEST(DeltaRelation, NetEffectModifyThenDelete) {
@@ -100,7 +107,8 @@ TEST(DeltaRelation, NetEffectModifyThenDelete) {
   d.record_modify(TupleId(1), {Value("A"), Value(1)}, {Value("A"), Value(2)},
                   Timestamp(1));
   d.record_delete(TupleId(1), {Value("A"), Value(2)}, Timestamp(2));
-  const auto net = d.net_effect(Timestamp::min());
+  const DeltaSnapshot snap(d);
+  const auto& net = snap.net_effect(Timestamp::min());
   ASSERT_EQ(net.size(), 1u);
   EXPECT_EQ(net[0].kind(), ChangeKind::kDelete);
   EXPECT_EQ((*net[0].old_values)[1], Value(1));  // the pre-window value
@@ -113,7 +121,8 @@ TEST(DeltaRelation, NoTidAppearsTwiceInNetEffect) {
                     Timestamp(i));
   }
   d.record_insert(TupleId(8), {Value("B"), Value(0)}, Timestamp(10));
-  const auto net = d.net_effect(Timestamp::min());
+  const DeltaSnapshot snap(d);
+  const auto& net = snap.net_effect(Timestamp::min());
   EXPECT_EQ(net.size(), 2u);  // paper: "No tid can appear in multiple rows"
 }
 
@@ -121,7 +130,8 @@ TEST(DeltaRelation, WideRelationLayout) {
   DeltaRelation d(stocks_schema());
   d.record_modify(TupleId(2), {Value("DEC"), Value(150)}, {Value("DEC"), Value(149)},
                   Timestamp(11));
-  const auto wide = d.as_wide_relation(Timestamp::min());
+  const DeltaSnapshot snap(d);
+  const auto wide = snap.as_wide_relation(Timestamp::min());
   ASSERT_EQ(wide.size(), 1u);
   const auto& schema = wide.schema();
   EXPECT_EQ(schema.index_of("name_old"), 0u);
@@ -141,7 +151,8 @@ TEST(DeltaRelation, WideRelationNullHalves) {
   DeltaRelation d(stocks_schema());
   d.record_insert(TupleId(1), {Value("MAC"), Value(117)}, Timestamp(1));
   d.record_delete(TupleId(2), {Value("QLI"), Value(145)}, Timestamp(2));
-  const auto wide = d.as_wide_relation(Timestamp::min());
+  const DeltaSnapshot snap(d);
+  const auto wide = snap.as_wide_relation(Timestamp::min());
   ASSERT_EQ(wide.size(), 2u);
   const auto rows = wide.sorted_rows();
   // Insert row: old half null. Delete row: new half null.
@@ -169,7 +180,10 @@ TEST(DeltaRelation, TruncateBefore) {
   }
   EXPECT_EQ(d.truncate_before(Timestamp(5)), 5u);
   EXPECT_EQ(d.size(), 5u);
-  EXPECT_EQ(d.insertions(Timestamp::min()).size(), 5u);
+  {
+    const DeltaSnapshot snap(d);
+    EXPECT_EQ(snap.insertions(Timestamp::min()).size(), 5u);
+  }
   EXPECT_EQ(d.truncate_before(Timestamp(100)), 5u);
   EXPECT_TRUE(d.empty());
 }

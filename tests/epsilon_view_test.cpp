@@ -150,5 +150,29 @@ TEST(EpsilonView, SpecValidation) {
                common::InvalidArgument);
 }
 
+TEST(EpsilonView, DriftSpecMustNameANumericColumn) {
+  // A misnamed drift table or column is rejected at construction, not by
+  // every later read().
+  Fixture f;
+  const auto drift_on = [](std::string table, std::string column) {
+    return EpsilonView::Spec{.max_relevant_changes = 1000,
+                             .max_drift = 100.0,
+                             .drift_table = std::move(table),
+                             .drift_column = std::move(column)};
+  };
+  EXPECT_THROW(EpsilonView("v", "SELECT SUM(amount) FROM Accounts", f.db,
+                           drift_on("Acounts", "amount")),
+               common::InvalidArgument);
+  EXPECT_THROW(EpsilonView("v", "SELECT SUM(amount) FROM Accounts", f.db,
+                           drift_on("Accounts", "amt")),
+               common::InvalidArgument);
+  EXPECT_THROW(EpsilonView("v", "SELECT SUM(amount) FROM Accounts", f.db,
+                           drift_on("Accounts", "owner")),
+               common::InvalidArgument);  // a STRING column has no drift
+  EpsilonView ok("v", "SELECT SUM(amount) FROM Accounts", f.db,
+                 drift_on("Accounts", "amount"));
+  EXPECT_FALSE(ok.read().refreshed);
+}
+
 }  // namespace
 }  // namespace cq::core

@@ -15,6 +15,7 @@
 #include "cq/dra.hpp"
 #include "cq/manager.hpp"
 #include "cq/propagate.hpp"
+#include "delta/delta_snapshot.hpp"
 #include "query/parser.hpp"
 
 namespace cq {
@@ -61,13 +62,14 @@ TEST(PaperExample1, DifferentialRelationContents) {
   s.run_transaction_t();
 
   // insertions(ΔStocks) = {(MAC,117), (DEC,149)} — Example 1's table.
-  const Relation ins = s.db.delta("Stocks").insertions(t0);
+  const delta::DeltaSnapshot stocks(s.db.delta("Stocks"));
+  const Relation& ins = stocks.insertions(t0);
   EXPECT_EQ(ins.size(), 2u);
   EXPECT_EQ(ins.count_value(Tuple({Value("MAC"), Value(117)})), 1u);
   EXPECT_EQ(ins.count_value(Tuple({Value("DEC"), Value(149)})), 1u);
 
   // deletions(ΔStocks) = {(DEC,150), (QLI,145)}.
-  const Relation del = s.db.delta("Stocks").deletions(t0);
+  const Relation& del = stocks.deletions(t0);
   EXPECT_EQ(del.size(), 2u);
   EXPECT_EQ(del.count_value(Tuple({Value("DEC"), Value(150)})), 1u);
   EXPECT_EQ(del.count_value(Tuple({Value("QLI"), Value(145)})), 1u);

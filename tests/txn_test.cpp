@@ -4,6 +4,7 @@
 
 #include "catalog/database.hpp"
 #include "common/error.hpp"
+#include "delta/delta_snapshot.hpp"
 
 namespace cq::cat {
 namespace {
@@ -73,7 +74,8 @@ TEST(Transaction, PaperExample1Shape) {
   txn.erase("T", qli);
   txn.commit();
 
-  const auto net = db.delta("T").net_effect(before);
+  const delta::DeltaSnapshot snap(db.delta("T"));
+  const auto& net = snap.net_effect(before);
   ASSERT_EQ(net.size(), 3u);
   int inserts = 0;
   int modifies = 0;
@@ -97,7 +99,8 @@ TEST(Transaction, InsertThenModifySameTidIsNetInsert) {
   txn.modify("T", tid, {Value(1), Value("b")});
   const Timestamp ts = txn.commit();
   (void)ts;
-  const auto net = db.delta("T").net_effect(Timestamp::min());
+  const delta::DeltaSnapshot snap(db.delta("T"));
+  const auto& net = snap.net_effect(Timestamp::min());
   ASSERT_EQ(net.size(), 1u);
   EXPECT_EQ(net[0].kind(), ChangeKind::kInsert);
   EXPECT_EQ((*net[0].new_values)[1], Value("b"));
@@ -121,7 +124,8 @@ TEST(Transaction, ModifyThenDeleteIsNetDelete) {
   txn.modify("T", tid, {Value(1), Value("changed")});
   txn.erase("T", tid);
   txn.commit();
-  const auto net = db.delta("T").net_effect(before);
+  const delta::DeltaSnapshot snap(db.delta("T"));
+  const auto& net = snap.net_effect(before);
   ASSERT_EQ(net.size(), 1u);
   EXPECT_EQ(net[0].kind(), ChangeKind::kDelete);
   EXPECT_EQ((*net[0].old_values)[1], Value("orig"));  // pre-transaction value
@@ -170,7 +174,8 @@ TEST(Transaction, ModifyThenModifyBackCollapsesInNetEffect) {
   txn.modify("T", tid, {Value(1), Value("detour")});
   txn.modify("T", tid, {Value(1), Value("orig")});
   txn.commit();
-  EXPECT_TRUE(db.delta("T").net_effect(before).empty());
+  const delta::DeltaSnapshot snap(db.delta("T"));
+  EXPECT_TRUE(snap.net_effect(before).empty());
   EXPECT_EQ(db.table("T").find(tid)->values()[1], Value("orig"));
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "cq/propagate.hpp"
+#include "delta/delta_snapshot.hpp"
 #include "query/evaluate.hpp"
 #include "query/parser.hpp"
 #include "workload/accounts.hpp"
@@ -27,7 +28,8 @@ TEST(StocksWorkload, StepAppliesMixedUpdates) {
   StocksWorkload stocks(db, "Stocks", {.symbols = 100}, rng);
   const Timestamp t0 = db.clock().now();
   stocks.step(/*trades=*/50, /*listings=*/10, /*delistings=*/5);
-  const auto net = db.delta("Stocks").net_effect(t0);
+  const delta::DeltaSnapshot snap(db.delta("Stocks"));
+  const auto& net = snap.net_effect(t0);
   EXPECT_GT(net.size(), 30u);
   // At least one of each kind should appear with these volumes.
   bool ins = false;
@@ -89,7 +91,8 @@ TEST(SweepTable, UpdatesRespectMixRoughly) {
   std::size_t ins = 0;
   std::size_t mod = 0;
   std::size_t del = 0;
-  for (const auto& row : db.delta("S").net_effect(t0)) {
+  const delta::DeltaSnapshot snap(db.delta("S"));
+  for (const auto& row : snap.net_effect(t0)) {
     switch (row.kind()) {
       case delta::ChangeKind::kInsert: ++ins; break;
       case delta::ChangeKind::kModify: ++mod; break;
