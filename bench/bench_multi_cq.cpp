@@ -17,6 +17,13 @@
 //     enforces with a tight threshold (see bench/baselines/multi_cq.json
 //     _thresholds).
 //
+// BM_CompleteResultSize is the per-execution scaling row: one complete-mode
+// CQ whose result holds 10^3, 10^4 or 10^5 rows, driven by commits of a
+// fixed |Δ| = 8 updates. Its cq_exec_us counter (mean execution time over
+// the timed commits) should stay flat across the sizes, because the saved
+// result is patched in place and delivered without a copy (Section 4.2:
+// an execution costs O(|Δ|), not O(|Q|)).
+//
 // CI runs this binary under scripts/check_bench.py --strict (the
 // bench-check job): the committed baseline encodes the expected >= 2x
 // ratio between the 1-lane and 4-lane rows via the derived counters.
@@ -225,6 +232,40 @@ void BM_MultiCqLineageCommit(benchmark::State& state) {
 BENCHMARK(BM_MultiCqLineageCommit)
     ->Args({4, 1})
     ->Args({4, 0})
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(3);
+
+void BM_CompleteResultSize(benchmark::State& state) {
+  constexpr std::size_t kSizeCommits = 32;
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const ObsState obs(/*obs_on=*/false, /*lockprof_on=*/false);
+  common::Rng rng(0x51e ^ rows);
+  cat::Database db;
+  wl::SweepTable table(db, "S", rows, 64, rng);
+  core::CqManager manager(db);
+  core::CqSpec spec;
+  spec.name = "all";
+  spec.query = table.selection_query(1.0);  // the result is the whole table
+  spec.trigger = core::triggers::on_change();
+  spec.mode = core::DeliveryMode::kComplete;
+  const core::CqHandle handle = manager.install(std::move(spec), nullptr);
+  manager.set_eager(true);
+
+  const core::CqStats before = manager.stats(handle);
+  for (auto _ : state) {
+    table.update(kSizeCommits * kUpdatesPerCommit, {}, kUpdatesPerCommit);
+  }
+  const core::CqStats after = manager.stats(handle);
+  const auto executions = static_cast<double>(after.executions - before.executions);
+  state.counters["result_rows"] = static_cast<double>(db.table("S").size());
+  state.counters["cq_exec_us"] =
+      static_cast<double>(after.total_exec_ns - before.total_exec_ns) / 1e3 / executions;
+}
+
+BENCHMARK(BM_CompleteResultSize)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Arg(100000)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(3);
 

@@ -12,8 +12,7 @@ using rel::Tuple;
 using rel::Value;
 using rel::ValueType;
 
-bool AggregateState::KeyLess::operator()(const std::vector<Value>& a,
-                                         const std::vector<Value>& b) const {
+bool AggregateState::KeyLess::operator()(const GroupKey& a, const GroupKey& b) const {
   const std::size_t n = std::min(a.size(), b.size());
   for (std::size_t i = 0; i < n; ++i) {
     auto c = a[i].compare(b[i]);
@@ -46,16 +45,40 @@ void AggregateState::initialize(const Relation& spj_result) {
   for (const auto& row : spj_result.rows()) fold_row(row, +1);
 }
 
-void AggregateState::apply(const DiffResult& delta) {
+DiffResult AggregateState::apply(const DiffResult& delta) {
+  // Every touched group's row before the fold, in group-key order.
+  std::map<GroupKey, std::optional<Tuple>, KeyLess> touched;
+  for (const Relation* side : {&delta.inserted, &delta.deleted}) {
+    for (const auto& row : side->rows()) {
+      auto [it, fresh] = touched.try_emplace(group_key(row));
+      if (fresh) it->second = group_row(it->first);
+    }
+  }
+
   for (const auto& row : delta.inserted.rows()) fold_row(row, +1);
   for (const auto& row : delta.deleted.rows()) fold_row(row, -1);
+
+  DiffResult out;
+  out.inserted = Relation(out_schema_);
+  out.deleted = Relation(out_schema_);
+  for (auto& [key, before] : touched) {
+    std::optional<Tuple> after = group_row(key);
+    if (before && after && before->same_values(*after)) continue;
+    if (before) out.deleted.append(std::move(*before));
+    if (after) out.inserted.append(std::move(*after));
+  }
+  return out;
+}
+
+AggregateState::GroupKey AggregateState::group_key(const Tuple& row) const {
+  GroupKey key;
+  key.reserve(group_idx_.size());
+  for (auto gi : group_idx_) key.push_back(row.at(gi));
+  return key;
 }
 
 void AggregateState::fold_row(const Tuple& row, std::int64_t weight) {
-  std::vector<Value> key;
-  key.reserve(group_idx_.size());
-  for (auto gi : group_idx_) key.push_back(row.at(gi));
-
+  GroupKey key = group_key(row);
   auto it = groups_.find(key);
   if (it == groups_.end()) {
     if (weight < 0) {
@@ -137,15 +160,23 @@ Value AggregateState::spec_result(const alg::AggSpec& spec, const SpecState& sta
   return Value::null();
 }
 
+Tuple AggregateState::output_row(const GroupKey& key, const GroupState& group) const {
+  std::vector<Value> values = key;
+  for (std::size_t s = 0; s < specs_.size(); ++s) {
+    values.push_back(spec_result(specs_[s], group.specs[s]));
+  }
+  return Tuple(std::move(values));
+}
+
+std::optional<Tuple> AggregateState::group_row(const GroupKey& key) const {
+  const auto it = groups_.find(key);
+  if (it == groups_.end()) return std::nullopt;
+  return output_row(key, it->second);
+}
+
 Relation AggregateState::current() const {
   Relation out(out_schema_);
-  for (const auto& [key, group] : groups_) {
-    std::vector<Value> values = key;
-    for (std::size_t s = 0; s < specs_.size(); ++s) {
-      values.push_back(spec_result(specs_[s], group.specs[s]));
-    }
-    out.append(Tuple(std::move(values)));
-  }
+  for (const auto& [key, group] : groups_) out.append(output_row(key, group));
   return out;
 }
 

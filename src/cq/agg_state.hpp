@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,8 +32,13 @@ class AggregateState {
   /// Reset to the aggregate of `spj_result` (used at CQ installation).
   void initialize(const rel::Relation& spj_result);
 
-  /// Fold one differential result into the state.
-  void apply(const DiffResult& delta);
+  /// Fold one differential result into the state and return the
+  /// aggregate-level ΔQ in O(|delta| log groups): each touched group's
+  /// row before the fold in `deleted`, its row after in `inserted`. A
+  /// group whose row did not change emits nothing; one that appears or
+  /// vanishes emits one side. Rows come in group-key order, so the result
+  /// equals diff(current() before, current() after) row for row.
+  DiffResult apply(const DiffResult& delta);
 
   /// Current aggregate relation; identical (as a multiset) to
   /// alg::group_aggregate(current SPJ result, group_by, specs).
@@ -67,9 +73,15 @@ class AggregateState {
     std::vector<SpecState> specs;
   };
 
+  using GroupKey = std::vector<rel::Value>;
+
+  [[nodiscard]] GroupKey group_key(const rel::Tuple& row) const;
   void fold_row(const rel::Tuple& row, std::int64_t weight);
   [[nodiscard]] rel::Value spec_result(const alg::AggSpec& spec,
                                        const SpecState& state) const;
+  /// The output row of group `key`, or nullopt when the group is empty.
+  [[nodiscard]] std::optional<rel::Tuple> group_row(const GroupKey& key) const;
+  [[nodiscard]] rel::Tuple output_row(const GroupKey& key, const GroupState& group) const;
 
   rel::Schema spj_schema_;
   std::vector<std::string> group_by_;
@@ -79,10 +91,9 @@ class AggregateState {
   std::vector<std::optional<std::size_t>> spec_idx_;
 
   struct KeyLess {
-    bool operator()(const std::vector<rel::Value>& a,
-                    const std::vector<rel::Value>& b) const;
+    bool operator()(const GroupKey& a, const GroupKey& b) const;
   };
-  std::map<std::vector<rel::Value>, GroupState, KeyLess> groups_;
+  std::map<GroupKey, GroupState, KeyLess> groups_;
 };
 
 }  // namespace cq::core

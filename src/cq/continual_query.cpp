@@ -242,18 +242,18 @@ rel::Relation distinct_from_counts(const rel::TupleBag& counts, const rel::Schem
 
 }  // namespace
 
-void ContinualQuery::load_state(Relation spj) {
+void ContinualQuery::load_state(std::shared_ptr<Relation> spj) {
   saved_result_.reset();
   result_counts_.reset();
   agg_state_.reset();
   // ΔQ plumbing needs the previous SPJ result under kRecompute.
   bool keep_spj = spec_.strategy == ExecutionStrategy::kRecompute;
   if (spec_.query.is_aggregate()) {
-    agg_state_.emplace(spj.schema(), spec_.query.group_by, spec_.query.aggregates);
-    agg_state_->initialize(spj);
+    agg_state_.emplace(spj->schema(), spec_.query.group_by, spec_.query.aggregates);
+    agg_state_->initialize(*spj);
   } else if (spec_.query.distinct) {
     result_counts_.emplace();
-    for (const auto& row : spj.rows()) result_counts_->add(row, +1);
+    for (const auto& row : spj->rows()) result_counts_->add(row, +1);
   } else {
     keep_spj = keep_spj || spec_.mode == DeliveryMode::kComplete;
   }
@@ -262,20 +262,21 @@ void ContinualQuery::load_state(Relation spj) {
 
 Notification ContinualQuery::prime_from_scratch(const cat::Database& db,
                                                 common::Metrics* metrics) {
-  Relation spj = recompute(spj_core(), db, metrics);
+  auto spj = std::make_shared<Relation>(recompute(spj_core(), db, metrics));
   if (metrics != nullptr) metrics->add(common::metric::kQueryExecutions, 1);
 
   Notification note;
   note.cq_name = spec_.name;
-  note.delta.inserted = Relation(spj.schema());
-  note.delta.deleted = Relation(spj.schema());
+  note.delta.inserted = Relation(spj->schema());
+  note.delta.deleted = Relation(spj->schema());
   if (!spec_.query.is_aggregate() && !spec_.query.distinct) note.complete = spj;
   load_state(std::move(spj));
   if (spec_.query.is_aggregate()) {
-    note.aggregate = delivered_aggregate();
+    note.aggregate = std::make_shared<const Relation>(delivered_aggregate());
     note.complete = note.aggregate;
   } else if (spec_.query.distinct) {
-    note.complete = distinct_from_counts(*result_counts_, note.delta.inserted.schema());
+    note.complete = std::make_shared<const Relation>(
+        distinct_from_counts(*result_counts_, note.delta.inserted.schema()));
   }
 
   reprime_pending_ = false;
@@ -341,7 +342,7 @@ void ContinualQuery::restore(const cat::Database& db, Timestamp last_execution,
   DiffResult inverted;
   inverted.inserted = std::move(window.deleted);
   inverted.deleted = std::move(window.inserted);
-  load_state(apply_diff(spj, inverted));
+  load_state(std::make_shared<Relation>(apply_diff(std::move(spj), inverted)));
   executions_ = executions;
   last_exec_ = last_execution;
 }
@@ -371,11 +372,10 @@ Notification ContinualQuery::execute(const cat::Database& db,
   if (spec_.strategy == ExecutionStrategy::kDra) {
     raw = dra_differential(core, db, last_exec_, metrics, spec_.dra_options, stats,
                            snapshots);
-    if (saved_result_) saved_result_ = apply_diff(*saved_result_, raw);
   } else {
     Relation current = recompute(core, db, metrics);
     raw = diff(*saved_result_, current);
-    saved_result_ = std::move(current);
+    saved_result_ = std::make_shared<Relation>(std::move(current));
   }
   if (metrics != nullptr) metrics->add(common::metric::kQueryExecutions, 1);
 
@@ -383,23 +383,42 @@ Notification ContinualQuery::execute(const cat::Database& db,
   note.cq_name = spec_.name;
   note.sequence = executions_;
 
-  // ---- assemble per delivery mode (Algorithm 1, step 4) ----
-  if (spec_.query.is_aggregate()) {
-    const Relation before = delivered_aggregate();
-    agg_state_->apply(raw);
-    const Relation after = delivered_aggregate();
-    note.aggregate = after;
-    note.delta = diff(before, after);
-    if (rel::prov::enabled()) attach_group_lineage(*agg_state_, raw, note.delta);
-    if (spec_.mode == DeliveryMode::kComplete) note.complete = after;
-  } else if (spec_.query.distinct) {
-    note.delta = lift_to_distinct(*result_counts_, raw, raw.inserted.schema());
-    if (spec_.mode == DeliveryMode::kComplete) {
-      note.complete = distinct_from_counts(*result_counts_, raw.inserted.schema());
+  // ---- maintain the per-mode state in O(|ΔQ|) and assemble per delivery
+  // mode (Algorithm 1, step 4) ----
+  // A throw part-way leaves the state half-patched: drop it, so the next
+  // execution re-primes instead of building on a corrupt result.
+  try {
+    if (spec_.strategy == ExecutionStrategy::kDra && saved_result_) {
+      // Copy-on-write: a sink that kept the last payload keeps it intact.
+      // Only a holder of the pointer can copy it, so a count of 1 cannot
+      // rise under us.
+      if (saved_result_.use_count() > 1) {
+        saved_result_ = std::make_shared<Relation>(*saved_result_);
+      }
+      *saved_result_ = apply_diff(std::move(*saved_result_), raw);
     }
-  } else {
-    note.delta = raw;
-    if (spec_.mode == DeliveryMode::kComplete) note.complete = *saved_result_;
+    if (spec_.query.is_aggregate()) {
+      note.delta = agg_state_->apply(raw);
+      if (spec_.query.having) {
+        note.delta.inserted = alg::select(note.delta.inserted, *spec_.query.having);
+        note.delta.deleted = alg::select(note.delta.deleted, *spec_.query.having);
+      }
+      if (rel::prov::enabled()) attach_group_lineage(*agg_state_, raw, note.delta);
+      note.aggregate = std::make_shared<const Relation>(delivered_aggregate());
+      if (spec_.mode == DeliveryMode::kComplete) note.complete = note.aggregate;
+    } else if (spec_.query.distinct) {
+      note.delta = lift_to_distinct(*result_counts_, raw, raw.inserted.schema());
+      if (spec_.mode == DeliveryMode::kComplete) {
+        note.complete = std::make_shared<const Relation>(
+            distinct_from_counts(*result_counts_, raw.inserted.schema()));
+      }
+    } else {
+      note.delta = std::move(raw);
+      if (spec_.mode == DeliveryMode::kComplete) note.complete = saved_result_;
+    }
+  } catch (...) {
+    invalidate_saved_result();
+    throw;
   }
 
   switch (spec_.mode) {

@@ -59,16 +59,24 @@ struct CqSpec {
 };
 
 /// One delivered result.
+///
+/// The result payloads are shared and immutable. For a plain kComplete CQ,
+/// `complete` points at the CQ's saved result itself rather than at a
+/// copy, so delivering it costs nothing. A sink that wants to keep a
+/// payload keeps the pointer (copying the Notification does); the CQ then
+/// patches a fresh copy at its next execution (copy-on-write), so a kept
+/// payload never changes under it.
 struct Notification {
   std::string cq_name;
   std::uint64_t sequence = 0;  // 0 = initial execution
   common::Timestamp at;
   /// ΔQ for differential modes; empty on the initial execution.
   DiffResult delta;
-  /// Present for kComplete mode and for the initial execution.
-  std::optional<rel::Relation> complete;
-  /// Present for aggregate queries: the maintained aggregate relation.
-  std::optional<rel::Relation> aggregate;
+  /// Set for kComplete mode and for the initial execution.
+  std::shared_ptr<const rel::Relation> complete;
+  /// Set for aggregate queries: the maintained aggregate relation (HAVING
+  /// applied). In kComplete mode `complete` points at the same relation.
+  std::shared_ptr<const rel::Relation> aggregate;
 };
 
 /// Consumer of CQ results.
@@ -119,9 +127,11 @@ class ContinualQuery {
   }
   [[nodiscard]] bool finished() const noexcept { return finished_; }
 
-  /// The saved previous SPJ result, when the delivery mode maintains one.
-  [[nodiscard]] const std::optional<rel::Relation>& saved_result() const noexcept {
-    return saved_result_;
+  /// The saved previous SPJ result, or null when the delivery mode keeps
+  /// none. For a plain kComplete CQ the latest notification's `complete`
+  /// payload is this same relation until the next execution patches it.
+  [[nodiscard]] const rel::Relation* saved_result() const noexcept {
+    return saved_result_.get();
   }
 
   /// Initial execution E_0 (complete re-evaluation by definition).
@@ -200,8 +210,9 @@ class ContinualQuery {
   /// The aggregate relation as the user sees it (HAVING applied).
   [[nodiscard]] rel::Relation delivered_aggregate() const;
   /// Rebuild the per-mode state (aggregate accumulators, DISTINCT counts,
-  /// saved result) from the SPJ core result `spj`.
-  void load_state(rel::Relation spj);
+  /// saved result) from the SPJ core result `spj`, keeping the pointer
+  /// itself as the saved result when the mode needs one.
+  void load_state(std::shared_ptr<rel::Relation> spj);
   /// Full recompute + per-mode state rebuild; shared by execute_initial
   /// and the re-prime path. Fills everything in the notification except
   /// the sequence number, and sets last_exec_ to now.
@@ -218,8 +229,11 @@ class ContinualQuery {
   bool finished_ = false;
   bool reprime_pending_ = false;
 
-  /// Maintained for kComplete (and needed by kDifferential with DISTINCT).
-  std::optional<rel::Relation> saved_result_;
+  /// The SPJ core result, kept by plain (non-aggregate, non-DISTINCT)
+  /// kComplete CQs and by kRecompute. Patched in place by each DRA
+  /// execution (replaced under kRecompute); shared with the notification
+  /// that delivered it.
+  std::shared_ptr<rel::Relation> saved_result_;
   /// Multiset counts of the SPJ core result, used to derive DISTINCT-level
   /// diffs without recomputation.
   std::optional<rel::TupleBag> result_counts_;

@@ -85,16 +85,15 @@ DiffResult diff(const Relation& before, const Relation& after) {
   return out;
 }
 
-rel::Relation apply_diff(const Relation& previous, const DiffResult& delta) {
-  Relation next = previous;
+rel::Relation apply_diff(Relation previous, const DiffResult& delta) {
   for (const auto& row : delta.deleted.rows()) {
-    if (!next.remove_one(row)) {
+    if (!previous.remove_one(row)) {
       throw common::InternalError(
           "apply_diff: deleted row missing from previous result: " + row.to_string());
     }
   }
-  for (const auto& row : delta.inserted.rows()) next.append(row);
-  return next;
+  for (const auto& row : delta.inserted.rows()) previous.append(row);
+  return previous;
 }
 
 ClassifiedDiff classify(const DiffResult& delta) {

@@ -47,10 +47,11 @@ struct DiffResult {
 
 /// Apply a diff to a previous complete result:
 ///   next = previous − deleted ∪ inserted    (Section 4.2's complete-set
-/// formula). Throws InternalError if a deleted row is absent from previous
+/// formula). Patches `previous` in O(|delta|) and returns it: pass an
+/// rvalue to maintain a result in place, an lvalue to patch a copy.
+/// Throws InternalError if a deleted row is absent from previous
 /// (indicates an inconsistent diff).
-[[nodiscard]] rel::Relation apply_diff(const rel::Relation& previous,
-                                       const DiffResult& delta);
+[[nodiscard]] rel::Relation apply_diff(rel::Relation previous, const DiffResult& delta);
 
 /// Classification of a diff by tid: rows modified in place (same tid on
 /// both sides) vs pure insertions vs pure deletions. Used to present

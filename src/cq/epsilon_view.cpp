@@ -38,10 +38,10 @@ EpsilonView::EpsilonView(std::string name, const std::string& sql, cat::Database
   cached_ = current_result(initial);
 }
 
-rel::Relation EpsilonView::current_result(const Notification& n) const {
-  if (n.aggregate) return *n.aggregate;
-  CQ_ASSERT(n.complete.has_value());
-  return *n.complete;
+std::shared_ptr<const rel::Relation> EpsilonView::current_result(const Notification& n) {
+  if (n.aggregate) return n.aggregate;
+  CQ_ASSERT(n.complete != nullptr);
+  return n.complete;
 }
 
 double EpsilonView::pending_drift() const {
@@ -63,14 +63,14 @@ EpsilonView::Answer EpsilonView::read() {
 
   Answer answer;
   if (within_count && within_drift) {
-    answer.result = cached_;
+    answer.result = *cached_;
     answer.divergence = staleness.relevant_changes;
     answer.drift = drift;
     answer.refreshed = false;
     return answer;
   }
   refresh();
-  answer.result = cached_;
+  answer.result = *cached_;
   answer.divergence = 0;
   answer.drift = 0.0;
   answer.refreshed = true;

@@ -10,6 +10,7 @@
 // SUM-style aggregates — the absolute pending drift of a monitored column.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -60,12 +61,14 @@ class EpsilonView {
 
  private:
   [[nodiscard]] double pending_drift() const;
-  [[nodiscard]] rel::Relation current_result(const Notification& n) const;
+  [[nodiscard]] static std::shared_ptr<const rel::Relation> current_result(
+      const Notification& n);
 
   cat::Database& db_;
   Spec spec_;
   ContinualQuery cq_;
-  rel::Relation cached_;
+  /// The latest delivered payload, shared with the CQ (copy-on-write).
+  std::shared_ptr<const rel::Relation> cached_;
 };
 
 }  // namespace cq::core

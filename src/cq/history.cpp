@@ -20,7 +20,7 @@ void ResultHistory::on_result(const Notification& notification) {
     // Aggregate results are small; store them as per-execution checkpoints
     // with the aggregate-level diff alongside.
     entry.delta = notification.delta;
-    entry.checkpoint = *notification.aggregate;
+    entry.checkpoint = notification.aggregate;
     entries_.push_back(std::move(entry));
     return;
   }
@@ -31,7 +31,7 @@ void ResultHistory::on_result(const Notification& notification) {
           "ResultHistory: the initial notification must carry the complete "
           "result (use kDifferential or kComplete mode)");
     }
-    entry.checkpoint = *notification.complete;
+    entry.checkpoint = notification.complete;
     entry.delta = notification.delta;  // empty by construction
     entries_.push_back(std::move(entry));
     return;
@@ -40,11 +40,12 @@ void ResultHistory::on_result(const Notification& notification) {
   entry.delta = notification.delta;
   if (notification.complete) {
     if (entries_.size() % checkpoint_every_ == 0) {
-      entry.checkpoint = *notification.complete;
+      entry.checkpoint = notification.complete;
     }
   } else if (entries_.size() % checkpoint_every_ == 0) {
     // Differential mode: build the checkpoint ourselves.
-    entry.checkpoint = apply_diff(at(entries_.size() - 1), entry.delta.consolidated());
+    entry.checkpoint = std::make_shared<const Relation>(
+        apply_diff(at(entries_.size() - 1), entry.delta.consolidated()));
   }
   entries_.push_back(std::move(entry));
 }
@@ -75,7 +76,7 @@ Relation ResultHistory::at(std::size_t execution) const {
   }
   Relation result = *entries_[base].checkpoint;
   for (std::size_t i = base + 1; i <= execution; ++i) {
-    result = apply_diff(result, entries_[i].delta.consolidated());
+    result = apply_diff(std::move(result), entries_[i].delta.consolidated());
   }
   return result;
 }

@@ -9,9 +9,11 @@
 // insertions-/deletions-only modes drop one side of ΔQ, which makes the
 // sequence non-reconstructible; attaching one raises Unsupported).
 // Aggregate CQs are stored by their (small) delivered aggregate relations.
+// Checkpoints share the delivered payloads instead of copying them; the
+// CQ's copy-on-write keeps a shared payload unchanged afterwards.
 #pragma once
 
-#include <optional>
+#include <memory>
 #include <vector>
 
 #include "common/timestamp.hpp"
@@ -21,8 +23,8 @@ namespace cq::core {
 
 class ResultHistory final : public ResultSink {
  public:
-  /// `checkpoint_every` bounds reconstruction cost: a full copy of the
-  /// result is stored every that-many executions.
+  /// `checkpoint_every` bounds reconstruction cost: the full result is
+  /// kept every that-many executions.
   explicit ResultHistory(std::size_t checkpoint_every = 16);
 
   void on_result(const Notification& notification) override;
@@ -51,7 +53,7 @@ class ResultHistory final : public ResultSink {
   struct Entry {
     common::Timestamp at;
     DiffResult delta;
-    std::optional<rel::Relation> checkpoint;  // every checkpoint_every-th
+    std::shared_ptr<const rel::Relation> checkpoint;  // every checkpoint_every-th
   };
 
   std::size_t checkpoint_every_;

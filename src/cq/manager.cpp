@@ -394,23 +394,29 @@ std::size_t CqManager::dispatch(const std::vector<std::string>* tables) {
 
 void CqManager::evaluate_on_pool(std::vector<Outcome>& outcomes,
                                  const delta::SnapshotMap& snapshots) {
-  // Contiguous handle-order chunks, one per lane (fewer when there are
-  // fewer CQs). CQs sharing a read set share the snapshot's memoized views
+  // One task per lane (fewer when there are fewer CQs), each pulling the
+  // next CQ from one shared cursor until none is left, so a run of costly
+  // CQs with adjacent handles spreads across the lanes instead of filling
+  // one lane's share. Every CQ writes only its own outcome slot and the
+  // merge replays them in handle order, so which lane ran what is not
+  // observable. CQs sharing a read set share the snapshot's memoized views
   // whichever lane runs them.
   const std::size_t m = outcomes.size();
   const std::size_t lanes = std::min(threads_, m);
   parallelism_gauge().set(static_cast<std::int64_t>(lanes));
 
   static obs::Histogram& batch_hist = obs::global().histogram(obs::hist::kEvalBatchUs);
+  std::atomic<std::size_t> cursor{0};
   std::vector<std::function<void()>> tasks;
   tasks.reserve(lanes);
   for (std::size_t lane = 0; lane < lanes; ++lane) {
-    tasks.emplace_back([this, &snapshots, &outcomes, begin = lane * m / lanes,
-                        end = (lane + 1) * m / lanes] {
+    tasks.emplace_back([this, &snapshots, &outcomes, &cursor, m] {
       // Lands on the executing lane's track, carrying the dispatching
       // commit's trace id (the pool adopts the dispatcher's context).
       obs::Span batch_span("eval.batch", &batch_hist);
-      for (std::size_t i = begin; i < end; ++i) (void)evaluate(outcomes[i], snapshots);
+      for (std::size_t i = cursor++; i < m; i = cursor++) {
+        (void)evaluate(outcomes[i], snapshots);
+      }
     });
   }
   // One pool, many possible dispatchers: the lease loser (a concurrent

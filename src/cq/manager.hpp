@@ -211,8 +211,8 @@ class CqManager {
   bool evaluate(Outcome& out, const delta::SnapshotMap& snapshots);
   /// Run `out`'s CQ and test its Stop condition afterwards.
   void execute(Outcome& out, const delta::SnapshotMap& snapshots);
-  /// Evaluate `outcomes` on the pool, one contiguous handle-order chunk
-  /// per lane (threads_ > 1).
+  /// Evaluate `outcomes` on the pool (threads_ > 1): each lane pulls the
+  /// next CQ from one shared cursor.
   void evaluate_on_pool(std::vector<Outcome>& outcomes,
                         const delta::SnapshotMap& snapshots);
   /// Every side effect of one execution, in order: stats, metrics, events,

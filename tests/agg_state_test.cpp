@@ -7,6 +7,7 @@
 #include "algebra/aggregate.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "cq/continual_query.hpp"
 #include "cq/diff.hpp"
 
 namespace cq::core {
@@ -146,6 +147,142 @@ TEST(AggregateState, NullInputsSkipped) {
   EXPECT_TRUE(state.current().equal_multiset(expect));
 }
 
+// ---- the aggregate-level ΔQ apply() returns ----
+
+void expect_same_rows(const Relation& got, const Relation& want) {
+  ASSERT_EQ(got.size(), want.size()) << "got " << got.to_string() << "want "
+                                     << want.to_string();
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(got.row(i).same_values(want.row(i)))
+        << "row " << i << ": " << got.row(i).to_string() << " vs "
+        << want.row(i).to_string();
+  }
+}
+
+/// Apply `d` and check that the returned ΔQ equals
+/// diff(current() before, current() after) row for row, in the same order.
+DiffResult apply_and_check(AggregateState& state, const DiffResult& d) {
+  const Relation before = state.current();
+  DiffResult got = state.apply(d);
+  const DiffResult want = diff(before, state.current());
+  expect_same_rows(got.inserted, want.inserted);
+  expect_same_rows(got.deleted, want.deleted);
+  return got;
+}
+
+DiffResult sales_delta(std::vector<Tuple> inserted, std::vector<Tuple> deleted) {
+  DiffResult d;
+  d.inserted = Relation(sales_schema(), std::move(inserted));
+  d.deleted = Relation(sales_schema(), std::move(deleted));
+  return d;
+}
+
+AggregateState by_region(const std::vector<Tuple>& rows,
+                         std::vector<AggSpec> specs = all_specs()) {
+  AggregateState state(sales_schema(), {"region"}, std::move(specs));
+  state.initialize(Relation(sales_schema(), rows));
+  return state;
+}
+
+TEST(AggregateStateDelta, GroupAppears) {
+  AggregateState state = by_region({row("e", 10)});
+  const DiffResult d = apply_and_check(state, sales_delta({row("w", 5)}, {}));
+  EXPECT_EQ(d.inserted.size(), 1u);
+  EXPECT_TRUE(d.deleted.empty());
+}
+
+TEST(AggregateStateDelta, GroupVanishes) {
+  AggregateState state = by_region({row("e", 10), row("w", 5)});
+  const DiffResult d = apply_and_check(state, sales_delta({}, {row("w", 5)}));
+  EXPECT_TRUE(d.inserted.empty());
+  EXPECT_EQ(d.deleted.size(), 1u);
+}
+
+TEST(AggregateStateDelta, GroupChanges) {
+  AggregateState state = by_region({row("a", 1), row("e", 10), row("w", 5)});
+  const DiffResult d =
+      apply_and_check(state, sales_delta({row("w", 7), row("e", 20)}, {}));
+  // Touched groups only, in group-key order; "a" is untouched.
+  ASSERT_EQ(d.inserted.size(), 2u);
+  ASSERT_EQ(d.deleted.size(), 2u);
+  EXPECT_EQ(d.inserted.row(0).at(0), Value("e"));
+  EXPECT_EQ(d.inserted.row(1).at(0), Value("w"));
+}
+
+TEST(AggregateStateDelta, InsertAndDeleteOfOneValueEmitsNothing) {
+  AggregateState state = by_region({row("e", 10), row("e", 20)});
+  const DiffResult d =
+      apply_and_check(state, sales_delta({row("e", 10)}, {row("e", 10)}));
+  EXPECT_TRUE(d.empty());
+}
+
+TEST(AggregateStateDelta, MinMaxDeletionExposesNextValue) {
+  AggregateState state =
+      by_region({row("e", 10), row("e", 20), row("e", 30)},
+                {{AggKind::kMin, "amount", "lo"}, {AggKind::kMax, "amount", "hi"}});
+  const DiffResult d =
+      apply_and_check(state, sales_delta({}, {row("e", 30), row("e", 10)}));
+  ASSERT_EQ(d.inserted.size(), 1u);
+  EXPECT_EQ(d.inserted.row(0).at(1), Value(20));
+  EXPECT_EQ(d.inserted.row(0).at(2), Value(20));
+}
+
+TEST(AggregateStateDelta, UngroupedAggregate) {
+  AggregateState state(sales_schema(), {}, all_specs());
+  state.initialize(Relation(sales_schema()));
+  // The lone row appears, changes, and vanishes with the last input row.
+  DiffResult d = apply_and_check(state, sales_delta({row("e", 10)}, {}));
+  EXPECT_EQ(d.inserted.size(), 1u);
+  EXPECT_TRUE(d.deleted.empty());
+  d = apply_and_check(state, sales_delta({row("w", 5)}, {}));
+  EXPECT_EQ(d.inserted.size(), 1u);
+  EXPECT_EQ(d.deleted.size(), 1u);
+  d = apply_and_check(state, sales_delta({}, {row("e", 10), row("w", 5)}));
+  EXPECT_TRUE(d.inserted.empty());
+  EXPECT_EQ(d.deleted.size(), 1u);
+}
+
+TEST(AggregateStateDelta, HavingCrossesItsThresholdBothWays) {
+  cat::Database db;
+  db.create_table("Sales", sales_schema());
+  db.insert("Sales", {Value("e"), Value(10)});
+  db.insert("Sales", {Value("w"), Value(30)});
+  ContinualQuery cq(
+      CqSpec::from_sql("band",
+                       "SELECT region, SUM(amount) AS total FROM Sales "
+                       "GROUP BY region HAVING total > 20",
+                       triggers::manual(), nullptr, DeliveryMode::kComplete),
+      db);
+  Notification prev = cq.execute_initial(db);
+  const auto step = [&] {
+    Notification n = cq.execute(db);
+    expect_same_rows(n.delta.inserted, diff(*prev.aggregate, *n.aggregate).inserted);
+    expect_same_rows(n.delta.deleted, diff(*prev.aggregate, *n.aggregate).deleted);
+    prev = n;
+    return n;
+  };
+
+  // e: 10 -> 25 enters the band; w: 30 -> 35 stays in it.
+  db.insert("Sales", {Value("e"), Value(15)});
+  db.insert("Sales", {Value("w"), Value(5)});
+  Notification n = step();
+  EXPECT_EQ(n.delta.inserted.size(), 2u);
+  EXPECT_EQ(n.delta.deleted.count_value(Tuple({Value("w"), Value(30)})), 1u);
+  EXPECT_EQ(n.delta.deleted.size(), 1u);
+
+  // e: 25 -> 10 leaves the band; only its old row is emitted.
+  for (const auto& r : db.table("Sales").rows()) {
+    if (r.at(1) == Value(15)) {
+      db.erase("Sales", r.tid());
+      break;
+    }
+  }
+  n = step();
+  EXPECT_TRUE(n.delta.inserted.empty());
+  EXPECT_EQ(n.delta.deleted.count_value(Tuple({Value("e"), Value(25)})), 1u);
+  EXPECT_EQ(n.delta.deleted.size(), 1u);
+}
+
 /// Randomized property sweep: apply K random diffs, compare with recompute.
 class AggStateSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -183,6 +320,31 @@ TEST_P(AggStateSweep, AlwaysMatchesRecompute) {
     ASSERT_TRUE(state.current().equal_multiset(
         alg::group_aggregate(current, {"region"}, all_specs())))
         << "seed=" << GetParam() << " round=" << round;
+  }
+}
+
+TEST_P(AggStateSweep, ReturnedDeltaMatchesDiff) {
+  common::Rng rng(GetParam());
+  const char* regions[] = {"a", "b", "c", "d"};
+  Relation current(sales_schema());
+  AggregateState state(sales_schema(), {"region"}, all_specs());
+  state.initialize(current);
+  for (int round = 0; round < 30; ++round) {
+    DiffResult d = sales_delta({}, {});
+    const std::size_t dels = rng.index(std::min<std::size_t>(current.size() + 1, 4));
+    for (std::size_t i = 0; i < dels && !current.empty(); ++i) {
+      Tuple victim(current.row(rng.index(current.size())).values());
+      current.remove_one_by_value(victim);
+      d.deleted.append(std::move(victim));
+    }
+    for (std::size_t i = rng.index(4); i > 0; --i) {
+      Tuple t = row(regions[rng.index(4)], static_cast<int>(rng.uniform_int(0, 20)));
+      current.append(t);
+      d.inserted.append(std::move(t));
+    }
+    SCOPED_TRACE("seed=" + std::to_string(GetParam()) +
+                 " round=" + std::to_string(round));
+    (void)apply_and_check(state, d);
   }
 }
 

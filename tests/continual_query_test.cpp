@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "cq/propagate.hpp"
+#include "query/evaluate.hpp"
 #include "query/parser.hpp"
 
 namespace cq::core {
@@ -41,7 +42,7 @@ TEST(ContinualQuery, InitialExecutionDeliversCompleteResult) {
   ContinualQuery cq(spec_for("SELECT * FROM Stocks WHERE price > 120"), db);
   const Notification n = cq.execute_initial(db);
   EXPECT_EQ(n.sequence, 0u);
-  ASSERT_TRUE(n.complete.has_value());
+  ASSERT_TRUE(n.complete != nullptr);
   EXPECT_EQ(n.complete->size(), 2u);
   EXPECT_TRUE(n.delta.empty());
   EXPECT_EQ(cq.executions(), 1u);
@@ -68,7 +69,7 @@ TEST(ContinualQuery, DifferentialModeDeliversBothSides) {
   EXPECT_EQ(n.sequence, 1u);
   EXPECT_EQ(n.delta.inserted.count_value(Tuple({Value("MAC"), Value(130)})), 1u);
   EXPECT_EQ(n.delta.deleted.count_value(Tuple({Value("QLI"), Value(145)})), 1u);
-  EXPECT_FALSE(n.complete.has_value());  // differential mode
+  EXPECT_FALSE(n.complete != nullptr);  // differential mode
 }
 
 TEST(ContinualQuery, InsertionsOnlyModeSuppressesDeletions) {
@@ -115,7 +116,7 @@ TEST(ContinualQuery, CompleteModeMaintainsFullResult) {
 
   db.insert("Stocks", {Value("MAC"), Value(130)});
   const Notification n = cq.execute(db);
-  ASSERT_TRUE(n.complete.has_value());
+  ASSERT_TRUE(n.complete != nullptr);
   // The maintained complete result equals a fresh recompute.
   const Relation fresh =
       recompute(qry::parse_query("SELECT * FROM Stocks WHERE price > 120"), db);
@@ -141,6 +142,78 @@ TEST(ContinualQuery, CompleteModeAcrossManyRounds) {
         recompute(qry::parse_query("SELECT * FROM Stocks WHERE price > 120"), db);
     ASSERT_TRUE(n.complete->equal_multiset(fresh)) << "round " << round;
   }
+}
+
+TEST(ContinualQuery, CompleteModePatchesTheSavedResultInPlace) {
+  cat::Database db = stocks_db();
+  ContinualQuery cq(
+      spec_for("SELECT * FROM Stocks WHERE price > 120", DeliveryMode::kComplete), db);
+  (void)cq.execute_initial(db);
+
+  db.insert("Stocks", {Value("MAC"), Value(130)});
+  const rel::Relation* payload = nullptr;
+  {
+    const Notification n = cq.execute(db);
+    payload = n.complete.get();
+    EXPECT_EQ(payload, cq.saved_result());
+  }  // nothing keeps the payload
+
+  db.insert("Stocks", {Value("SGI"), Value(200)});
+  const Notification n = cq.execute(db);
+  EXPECT_EQ(n.complete.get(), payload);
+  EXPECT_EQ(n.complete.get(), cq.saved_result());
+  const Relation fresh =
+      recompute(qry::parse_query("SELECT * FROM Stocks WHERE price > 120"), db);
+  EXPECT_TRUE(n.complete->equal_multiset(fresh));
+}
+
+TEST(ContinualQuery, KeptPayloadIsCopiedOnWrite) {
+  cat::Database db = stocks_db();
+  ContinualQuery cq(
+      spec_for("SELECT * FROM Stocks WHERE price > 120", DeliveryMode::kComplete), db);
+  CollectingSink sink;
+  sink.on_result(cq.execute_initial(db));
+  const auto query = qry::parse_query("SELECT * FROM Stocks WHERE price > 120");
+
+  db.insert("Stocks", {Value("MAC"), Value(130)});
+  sink.on_result(cq.execute(db));
+  const Relation at_k = qry::evaluate(query, db);
+
+  db.insert("Stocks", {Value("SGI"), Value(200)});
+  db.erase("Stocks", db.table("Stocks").rows().front().tid());
+  (void)cq.execute(db);
+  db.insert("Stocks", {Value("HP"), Value(300)});
+  const Notification last = cq.execute(db);
+
+  const Notification& kept = sink.notifications().at(1);
+  EXPECT_NE(kept.complete.get(), last.complete.get());
+  EXPECT_TRUE(kept.complete->equal_multiset(at_k));
+  EXPECT_TRUE(last.complete->equal_multiset(qry::evaluate(query, db)));
+}
+
+TEST(ContinualQuery, ThrowWhilePatchingReprimes) {
+  // A restore() whose last_execution lies ahead of the log makes the
+  // rebuilt result miss an insertion that the next ΔQ then deletes, so
+  // patching the saved result throws part-way through.
+  cat::Database db = stocks_db();
+  const std::string sql = "SELECT * FROM Stocks WHERE price > 120";
+  ContinualQuery cq(spec_for(sql, DeliveryMode::kComplete), db);
+  const common::Timestamp ahead(db.clock().now().ticks() + 1);
+  cq.restore(db, ahead, 1);
+  ASSERT_FALSE(cq.reprime_pending());
+
+  const rel::TupleId mac = db.insert("Stocks", {Value("MAC"), Value(130)});  // at `ahead`
+  db.erase("Stocks", mac);  // after it: ΔQ deletes a row the result lacks
+  EXPECT_THROW(static_cast<void>(cq.execute(db)), common::InternalError);
+  EXPECT_TRUE(cq.reprime_pending());
+  EXPECT_EQ(cq.saved_result(), nullptr);
+
+  db.insert("Stocks", {Value("SGI"), Value(200)});
+  const Notification n = cq.execute(db);
+  EXPECT_TRUE(n.delta.empty());
+  ASSERT_TRUE(n.complete != nullptr);
+  EXPECT_TRUE(n.complete->equal_multiset(recompute(qry::parse_query(sql), db)));
+  EXPECT_FALSE(cq.reprime_pending());
 }
 
 TEST(ContinualQuery, RecomputeStrategyGivesSameDeltas) {
@@ -207,7 +280,7 @@ TEST(ContinualQuery, AggregateQueryMaintainsSum) {
 
   ContinualQuery cq(spec_for("SELECT SUM(amount) FROM Accounts"), db);
   const Notification init = cq.execute_initial(db);
-  ASSERT_TRUE(init.aggregate.has_value());
+  ASSERT_TRUE(init.aggregate != nullptr);
   EXPECT_EQ(init.aggregate->row(0).at(0), Value(300));
 
   db.insert("Accounts", {Value("c"), Value(50)});
@@ -316,7 +389,7 @@ TEST(ContinualQuery, ExecuteBeforeInitialRunsInitial) {
   ContinualQuery cq(spec_for("SELECT * FROM Stocks"), db);
   const Notification n = cq.execute(db);
   EXPECT_EQ(n.sequence, 0u);
-  EXPECT_TRUE(n.complete.has_value());
+  EXPECT_TRUE(n.complete != nullptr);
 }
 
 TEST(ContinualQuery, InvalidatedRecomputeStateReprimesInsteadOfThrowing) {
@@ -338,7 +411,7 @@ TEST(ContinualQuery, InvalidatedRecomputeStateReprimesInsteadOfThrowing) {
   const Notification reprimed = cq.execute(db);  // must not throw
   EXPECT_EQ(reprimed.sequence, 1u);
   EXPECT_TRUE(reprimed.delta.empty());  // no usable baseline => no delta
-  ASSERT_TRUE(reprimed.complete.has_value());
+  ASSERT_TRUE(reprimed.complete != nullptr);
   const Relation fresh =
       recompute(qry::parse_query("SELECT * FROM Stocks WHERE price > 120"), db);
   EXPECT_TRUE(reprimed.complete->equal_multiset(fresh));
@@ -376,7 +449,7 @@ TEST(ContinualQuery, RestoreAcrossGcTruncationReprimes) {
 
   const Notification n = cq.execute(db);
   EXPECT_EQ(n.sequence, 2u);
-  ASSERT_TRUE(n.complete.has_value());
+  ASSERT_TRUE(n.complete != nullptr);
   const Relation fresh =
       recompute(qry::parse_query("SELECT * FROM Stocks WHERE price > 120"), db);
   EXPECT_TRUE(n.complete->equal_multiset(fresh));

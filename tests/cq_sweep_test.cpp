@@ -128,7 +128,7 @@ TEST(CqLifecycle, GroupKeyQualification) {
   spec.trigger = core::triggers::manual();
   ContinualQuery cq(spec, db);
   const Notification init = cq.execute_initial(db);
-  ASSERT_TRUE(init.aggregate.has_value());
+  ASSERT_TRUE(init.aggregate != nullptr);
   EXPECT_EQ(init.aggregate->schema().at(1).name, "q");
 }
 

@@ -218,12 +218,12 @@ std::string compare_step(const core::CqManager& dra_mgr,
          << b.delta.to_string();
       return os.str();
     }
-    if (a.complete.has_value() != b.complete.has_value() ||
+    if ((a.complete != nullptr) != (b.complete != nullptr) ||
         (a.complete && !a.complete->equal_multiset(*b.complete))) {
       os << "complete result diverged";
       return os.str();
     }
-    if (a.aggregate.has_value() != b.aggregate.has_value() ||
+    if ((a.aggregate != nullptr) != (b.aggregate != nullptr) ||
         (a.aggregate && !a.aggregate->equal_multiset(*b.aggregate))) {
       os << "aggregate result diverged";
       return os.str();
