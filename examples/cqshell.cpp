@@ -600,8 +600,9 @@ class Shell {
     const alg::ExprPtr pred = qry::parse_predicate(predicate);
     const rel::Relation& base = db_->table(table);
     std::vector<rel::TupleId> out;
+    const alg::BoundExpr bound(*pred, base.schema());
     for (const auto& row : base.rows()) {
-      if (pred->eval_bool(row, base.schema())) out.push_back(row.tid());
+      if (bound.eval_bool(row)) out.push_back(row.tid());
     }
     return out;
   }

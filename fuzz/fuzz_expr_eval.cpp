@@ -12,7 +12,13 @@
 //   3. Integer arithmetic that would overflow yields NULL, never a wrong
 //      wrapped value (checked against __int128 ground truth for the
 //      top-level node when both operands are INT).
+//   4. The position-bound evaluator (BoundExpr, behind eval/eval_bool)
+//      equals by-name evaluation on every tree: the same Value, or the
+//      same exception type and message. Checked over the full schema, over
+//      one where a bare column is ambiguous and others are missing, and
+//      with an unresolvable column placed behind AND/OR short-circuits.
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -104,6 +110,123 @@ ExprPtr deep_chain(ByteReader& in) {
   return e;
 }
 
+/// By-name reference for oracle 4: a plain walk that looks every column up
+/// by name when reached, left operand first. Leaf operator semantics
+/// (comparison, NULL-propagating arithmetic) come from the library through
+/// literal nodes; what this pins is resolution, walk order, short-circuits
+/// and the depth ceiling.
+Value by_name(const Expr& e, const rel::Tuple& t, const rel::Schema& s, std::size_t depth);
+
+bool by_name_truth(const Expr& e, const rel::Tuple& t, const rel::Schema& s,
+                   std::size_t depth) {
+  const Value v = by_name(e, t, s, depth);
+  return v.type() == rel::ValueType::kBool && v.as_bool();
+}
+
+Value by_name(const Expr& e, const rel::Tuple& t, const rel::Schema& s, std::size_t depth) {
+  if (depth >= Expr::kMaxEvalDepth) {
+    throw common::InvalidArgument("Expr::eval: expression nesting too deep");
+  }
+  static const rel::Schema kNoColumns;
+  static const rel::Tuple kNoRow;
+  const auto& kids = e.children();
+  switch (e.kind()) {
+    case Expr::Kind::kLiteral:
+      return e.literal();
+    case Expr::Kind::kColumn:
+      return t.at(s.index_of(e.column()));
+    case Expr::Kind::kCompare: {
+      Value lhs = by_name(*kids[0], t, s, depth + 1);
+      Value rhs = by_name(*kids[1], t, s, depth + 1);
+      return Expr::cmp(e.cmp_op(), Expr::lit(std::move(lhs)), Expr::lit(std::move(rhs)))
+          ->eval(kNoRow, kNoColumns);
+    }
+    case Expr::Kind::kArith: {
+      Value lhs = by_name(*kids[0], t, s, depth + 1);
+      Value rhs = by_name(*kids[1], t, s, depth + 1);
+      return Expr::arith(e.arith_op(), Expr::lit(std::move(lhs)), Expr::lit(std::move(rhs)))
+          ->eval(kNoRow, kNoColumns);
+    }
+    case Expr::Kind::kLogical:
+      switch (e.bool_op()) {
+        case alg::BoolOp::kAnd:
+          return Value(by_name_truth(*kids[0], t, s, depth + 1) &&
+                       by_name_truth(*kids[1], t, s, depth + 1));
+        case alg::BoolOp::kOr:
+          return Value(by_name_truth(*kids[0], t, s, depth + 1) ||
+                       by_name_truth(*kids[1], t, s, depth + 1));
+        case alg::BoolOp::kNot:
+          return Value(!by_name_truth(*kids[0], t, s, depth + 1));
+      }
+      return Value(false);
+    case Expr::Kind::kIsNull: {
+      const bool null = by_name(*kids[0], t, s, depth + 1).is_null();
+      return Value(e.negated() ? !null : null);
+    }
+    case Expr::Kind::kIn: {
+      const Value v = by_name(*kids[0], t, s, depth + 1);
+      if (v.is_null()) return Value(false);
+      bool found = false;
+      for (const auto& candidate : e.values()) found = found || v == candidate;
+      return Value(e.negated() ? !found : found);
+    }
+    case Expr::Kind::kBetween:
+      return Expr::between(Expr::lit(by_name(*kids[0], t, s, depth + 1)), e.values()[0],
+                           e.values()[1])
+          ->eval(kNoRow, kNoColumns);
+    case Expr::Kind::kLike:
+      return Expr::like_prefix(Expr::lit(by_name(*kids[0], t, s, depth + 1)), e.prefix())
+          ->eval(kNoRow, kNoColumns);
+  }
+  return Value::null();
+}
+
+/// What one evaluation did: a value, or which typed error it threw.
+struct Outcome {
+  enum class Kind { kValue, kNotFound, kInvalidArgument, kOtherError } kind = Kind::kValue;
+  Value value;
+  std::string message;
+
+  bool operator==(const Outcome& o) const {
+    return kind == o.kind && message == o.message && (kind != Kind::kValue || value == o.value);
+  }
+};
+
+template <typename Fn>
+Outcome outcome_of(Fn&& fn) {
+  Outcome out;
+  try {
+    out.value = fn();
+  } catch (const common::NotFound& e) {
+    out = {Outcome::Kind::kNotFound, Value::null(), e.what()};
+  } catch (const common::InvalidArgument& e) {
+    out = {Outcome::Kind::kInvalidArgument, Value::null(), e.what()};
+  } catch (const common::Error& e) {
+    out = {Outcome::Kind::kOtherError, Value::null(), e.what()};
+  }
+  return out;
+}
+
+/// Oracle 4 for one (tree, row, schema): Value and predicate form.
+void check_bound_matches_by_name(const Expr& e, const rel::Tuple& t, const rel::Schema& s) {
+  std::optional<alg::BoundExpr> bound;
+  try {
+    bound.emplace(e, s);
+  } catch (const common::Error&) {
+    violation("expr_eval", "binding threw; errors belong to evaluation", e.to_string().c_str());
+    return;
+  }
+  if (!(outcome_of([&] { return bound->eval(t); }) ==
+        outcome_of([&] { return by_name(e, t, s, 0); }))) {
+    violation("expr_eval", "bound eval differs from by-name eval", e.to_string().c_str());
+  }
+  if (!(outcome_of([&] { return Value(bound->eval_bool(t)); }) ==
+        outcome_of([&] { return Value(by_name_truth(e, t, s, 0)); }))) {
+    violation("expr_eval", "bound eval_bool differs from by-name eval_bool",
+              e.to_string().c_str());
+  }
+}
+
 }  // namespace
 
 int expr_eval_target(const std::uint8_t* data, std::size_t size) {
@@ -165,6 +288,22 @@ int expr_eval_target(const std::uint8_t* data, std::size_t size) {
   try {
     (void)expr->eval_bool(tuple, schema);
   } catch (const common::Error&) {
+  }
+
+  // Oracle 4. The narrow schema drops "j" and "s" and qualifies the rest so
+  // that bare "i" is ambiguous; "b" and "d" still resolve by suffix.
+  const auto narrow = rel::Schema::of({{"t.b", rel::ValueType::kBool},
+                                       {"t.i", rel::ValueType::kInt},
+                                       {"u.i", rel::ValueType::kInt},
+                                       {"t.d", rel::ValueType::kDouble}});
+  const rel::Tuple narrow_tuple({values[0], values[1], values[2], values[3]});
+  const ExprPtr missing = Expr::col_cmp("missing", alg::CmpOp::kEq, Value(1));
+  const ExprPtr trees[] = {expr, Expr::logical_and(expr, missing),
+                           Expr::logical_or(expr, missing),
+                           Expr::logical_and(Expr::logical_not(expr), missing)};
+  for (const auto& tree : trees) {
+    check_bound_matches_by_name(*tree, tuple, schema);
+    check_bound_matches_by_name(*tree, narrow_tuple, narrow);
   }
   return 0;
 }

@@ -193,77 +193,149 @@ Value arith_values(ArithOp op, const Value& a, const Value& b) {
 }  // namespace
 
 Value Expr::eval(const rel::Tuple& tuple, const rel::Schema& schema) const {
-  return eval_at(tuple, schema, 0);
+  return BoundExpr(*this, schema).eval(tuple);
 }
 
-Value Expr::eval_at(const rel::Tuple& tuple, const rel::Schema& schema,
-                    std::size_t depth) const {
-  if (depth >= kMaxEvalDepth) {
+bool Expr::eval_bool(const rel::Tuple& tuple, const rel::Schema& schema) const {
+  return BoundExpr(*this, schema).eval_bool(tuple);
+}
+
+BoundExpr::BoundExpr(const Expr& expr, const rel::Schema& schema) {
+  (void)bind(expr, schema, 0);
+}
+
+std::uint32_t BoundExpr::bind(const Expr& expr, const rel::Schema& schema,
+                              std::size_t depth) {
+  const auto at = static_cast<std::uint32_t>(nodes_.size());
+  nodes_.push_back(Node{.expr = &expr});
+  if (depth >= Expr::kMaxEvalDepth) {
+    nodes_[at].slot = Slot::kTooDeep;  // never descend: the walk stops here
+    return at;
+  }
+  if (expr.kind() == Expr::Kind::kColumn) {
+    if (const auto position = schema.find(expr.column())) {
+      nodes_[at].index = static_cast<std::uint32_t>(*position);
+    } else {
+      // Keep index_of's exact message (missing vs ambiguous) for the
+      // evaluation that reaches this column, if any.
+      try {
+        (void)schema.index_of(expr.column());
+      } catch (const common::NotFound& e) {
+        nodes_[at].slot = Slot::kUnresolved;
+        nodes_[at].index = static_cast<std::uint32_t>(errors_.size());
+        errors_.emplace_back(e.what());
+      }
+    }
+  }
+  const auto& children = expr.children();
+  for (std::size_t c = 0; c < children.size() && c < 2; ++c) {
+    const std::uint32_t child = bind(*children[c], schema, depth + 1);  // may grow nodes_
+    nodes_[at].child[c] = child;
+  }
+  return at;
+}
+
+Value BoundExpr::eval(const rel::Tuple& row) const {
+  Value out;
+  const Value& v = eval_ref(0, row, out);
+  return &v == &out ? std::move(out) : v;
+}
+
+bool BoundExpr::eval_bool(const rel::Tuple& row) const { return truth(0, row); }
+
+bool BoundExpr::truth(std::uint32_t i, const rel::Tuple& row) const {
+  Value out;
+  const Value& v = eval_ref(i, row, out);
+  return v.type() == ValueType::kBool && v.as_bool();
+}
+
+const Value& BoundExpr::eval_ref(std::uint32_t i, const rel::Tuple& row,
+                                 Value& out) const {
+  const Node& node = nodes_[i];
+  if (node.slot == Slot::kTooDeep) {
     throw common::InvalidArgument("Expr::eval: expression nesting too deep");
   }
-  switch (kind_) {
-    case Kind::kLiteral:
-      return literal_;
-    case Kind::kColumn:
-      return tuple.at(schema.index_of(column_));
-    case Kind::kCompare:
-      return Value(compare_values(cmp_, children_[0]->eval_at(tuple, schema, depth + 1),
-                                  children_[1]->eval_at(tuple, schema, depth + 1)));
-    case Kind::kArith:
-      return arith_values(arith_, children_[0]->eval_at(tuple, schema, depth + 1),
-                          children_[1]->eval_at(tuple, schema, depth + 1));
-    case Kind::kLogical:
-      switch (logic_) {
-        case BoolOp::kAnd:
-          return Value(children_[0]->eval_bool_at(tuple, schema, depth + 1) &&
-                       children_[1]->eval_bool_at(tuple, schema, depth + 1));
-        case BoolOp::kOr:
-          return Value(children_[0]->eval_bool_at(tuple, schema, depth + 1) ||
-                       children_[1]->eval_bool_at(tuple, schema, depth + 1));
-        case BoolOp::kNot:
-          return Value(!children_[0]->eval_bool_at(tuple, schema, depth + 1));
-      }
-      return Value(false);
-    case Kind::kIsNull: {
-      const bool null = children_[0]->eval_at(tuple, schema, depth + 1).is_null();
-      return Value(negated_ ? !null : null);
+  const Expr& e = *node.expr;
+  switch (e.kind()) {
+    case Expr::Kind::kLiteral:
+      return e.literal();
+    case Expr::Kind::kColumn:
+      if (node.slot == Slot::kUnresolved) throw common::NotFound(errors_[node.index]);
+      return row.at(node.index);
+    case Expr::Kind::kCompare: {
+      Value lhs_out;
+      Value rhs_out;
+      const Value& lhs = eval_ref(node.child[0], row, lhs_out);
+      const Value& rhs = eval_ref(node.child[1], row, rhs_out);
+      out = Value(compare_values(e.cmp_op(), lhs, rhs));
+      return out;
     }
-    case Kind::kIn: {
-      const Value v = children_[0]->eval_at(tuple, schema, depth + 1);
-      if (v.is_null()) return Value(false);
+    case Expr::Kind::kArith: {
+      Value lhs_out;
+      Value rhs_out;
+      const Value& lhs = eval_ref(node.child[0], row, lhs_out);
+      const Value& rhs = eval_ref(node.child[1], row, rhs_out);
+      out = arith_values(e.arith_op(), lhs, rhs);
+      return out;
+    }
+    case Expr::Kind::kLogical:
+      switch (e.bool_op()) {
+        case BoolOp::kAnd:
+          out = Value(truth(node.child[0], row) && truth(node.child[1], row));
+          return out;
+        case BoolOp::kOr:
+          out = Value(truth(node.child[0], row) || truth(node.child[1], row));
+          return out;
+        case BoolOp::kNot:
+          out = Value(!truth(node.child[0], row));
+          return out;
+      }
+      out = Value(false);
+      return out;
+    case Expr::Kind::kIsNull: {
+      const bool null = eval_ref(node.child[0], row, out).is_null();
+      out = Value(e.negated() ? !null : null);
+      return out;
+    }
+    case Expr::Kind::kIn: {
+      Value operand_out;
+      const Value& v = eval_ref(node.child[0], row, operand_out);
+      if (v.is_null()) {
+        out = Value(false);
+        return out;
+      }
       bool found = false;
-      for (const auto& candidate : values_) {
+      for (const auto& candidate : e.values()) {
         if (v == candidate) {
           found = true;
           break;
         }
       }
-      return Value(negated_ ? !found : found);
+      out = Value(e.negated() ? !found : found);
+      return out;
     }
-    case Kind::kBetween: {
-      const Value v = children_[0]->eval_at(tuple, schema, depth + 1);
-      return Value(compare_values(CmpOp::kGe, v, values_[0]) &&
-                   compare_values(CmpOp::kLe, v, values_[1]));
+    case Expr::Kind::kBetween: {
+      Value operand_out;
+      const Value& v = eval_ref(node.child[0], row, operand_out);
+      out = Value(compare_values(CmpOp::kGe, v, e.values()[0]) &&
+                  compare_values(CmpOp::kLe, v, e.values()[1]));
+      return out;
     }
-    case Kind::kLike: {
-      const Value v = children_[0]->eval_at(tuple, schema, depth + 1);
-      if (v.type() != ValueType::kString) return Value(false);
-      const auto& s = v.as_string();
-      return Value(s.size() >= prefix_.size() &&
-                   s.compare(0, prefix_.size(), prefix_) == 0);
+    case Expr::Kind::kLike: {
+      Value operand_out;
+      const Value& v = eval_ref(node.child[0], row, operand_out);
+      bool match = false;
+      if (v.type() == ValueType::kString) {
+        const auto& s = v.as_string();
+        const auto& prefix = e.prefix();
+        match = s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
+      }
+      out = Value(match);
+      return out;
     }
   }
-  return Value::null();
-}
-
-bool Expr::eval_bool(const rel::Tuple& tuple, const rel::Schema& schema) const {
-  return eval_bool_at(tuple, schema, 0);
-}
-
-bool Expr::eval_bool_at(const rel::Tuple& tuple, const rel::Schema& schema,
-                        std::size_t depth) const {
-  const Value v = eval_at(tuple, schema, depth);
-  return v.type() == ValueType::kBool && v.as_bool();
+  out = Value::null();
+  return out;
 }
 
 void Expr::collect_columns(std::vector<std::string>& out) const {

@@ -9,6 +9,7 @@
 // consistently by both the DRA and the complete re-evaluation oracle.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -86,7 +87,8 @@ class Expr {
   static constexpr std::size_t kMaxEvalDepth = 512;
 
   /// Evaluate over one tuple described by `schema`. Throws NotFound when a
-  /// referenced column is missing.
+  /// referenced column is missing. Binds on every call: a loop over many
+  /// rows should bind once (BoundExpr) instead.
   [[nodiscard]] rel::Value eval(const rel::Tuple& tuple, const rel::Schema& schema) const;
 
   /// Evaluate as a predicate: non-BOOL or NULL results count as false.
@@ -114,10 +116,6 @@ class Expr {
  private:
   Expr() = default;
   [[nodiscard]] static std::shared_ptr<Expr> make_node();
-  [[nodiscard]] rel::Value eval_at(const rel::Tuple& tuple, const rel::Schema& schema,
-                                   std::size_t depth) const;
-  [[nodiscard]] bool eval_bool_at(const rel::Tuple& tuple, const rel::Schema& schema,
-                                  std::size_t depth) const;
   [[nodiscard]] ExprPtr rewrite_impl(
       const std::function<std::string(const std::string&)>& rename) const;
 
@@ -131,6 +129,48 @@ class Expr {
   std::vector<ExprPtr> children_;
   std::vector<rel::Value> values_;  // IN list, or BETWEEN {lo, hi}
   std::string prefix_;              // LIKE prefix
+};
+
+/// An expression bound to one schema: every column is resolved to a
+/// position once, and a row is evaluated by reading its values in place
+/// instead of looking each column up by name. This is the only evaluator;
+/// Expr::eval/eval_bool bind and evaluate one row.
+///
+/// Errors keep their by-name timing: an unresolvable or ambiguous column
+/// throws NotFound only when evaluation reaches it (AND/OR short-circuit
+/// first), and a node deeper than Expr::kMaxEvalDepth throws
+/// InvalidArgument only when reached. Binding stops at that depth, so an
+/// adversarial tree costs bounded stack here too.
+///
+/// The bound form points into the tree: `expr` must outlive it. `schema`
+/// is read only while binding.
+class BoundExpr {
+ public:
+  BoundExpr(const Expr& expr, const rel::Schema& schema);
+
+  [[nodiscard]] rel::Value eval(const rel::Tuple& row) const;
+
+  /// Non-BOOL or NULL results count as false.
+  [[nodiscard]] bool eval_bool(const rel::Tuple& row) const;
+
+ private:
+  enum class Slot : std::uint8_t { kReady, kUnresolved, kTooDeep };
+  struct Node {
+    const Expr* expr = nullptr;
+    Slot slot = Slot::kReady;
+    std::uint32_t index = 0;     // kColumn: row position, or errors_ entry
+    std::uint32_t child[2] = {};  // nodes_ indexes of the first two children
+  };
+
+  std::uint32_t bind(const Expr& expr, const rel::Schema& schema, std::size_t depth);
+  /// Value of node `i`: a reference into `row` or the tree when the node is
+  /// a column or literal, else `out` after storing the computed value there.
+  [[nodiscard]] const rel::Value& eval_ref(std::uint32_t i, const rel::Tuple& row,
+                                           rel::Value& out) const;
+  [[nodiscard]] bool truth(std::uint32_t i, const rel::Tuple& row) const;
+
+  std::vector<Node> nodes_;
+  std::vector<std::string> errors_;  // NotFound messages of unresolved columns
 };
 
 /// AND-combine a list of predicates (nullptr/empty -> always_true()).

@@ -1,5 +1,7 @@
 #include "algebra/ops.hpp"
 
+#include <optional>
+
 #include "algebra/predicate.hpp"
 #include "common/error.hpp"
 #include "common/observability.hpp"
@@ -15,6 +17,12 @@ namespace {
 void count(Metrics* m, common::metric::Id id, std::int64_t v) {
   if (m != nullptr && v != 0) m->add(id, v);
 }
+
+/// A join's optional predicate, bound once for all its row pairs.
+std::optional<BoundExpr> bind_optional(const Expr* predicate, const rel::Schema& schema) {
+  if (predicate == nullptr) return std::nullopt;
+  return BoundExpr(*predicate, schema);
+}
 }  // namespace
 
 Relation select(const Relation& input, const Expr& predicate, Metrics* metrics) {
@@ -25,8 +33,9 @@ Relation select(const Relation& input, const rel::Schema& schema, const Expr& pr
                 Metrics* metrics) {
   common::obs::Span span("alg.select");
   Relation out(schema);
+  const BoundExpr bound(predicate, schema);
   for (const auto& row : input.rows()) {
-    if (predicate.eval_bool(row, schema)) out.append(row);
+    if (bound.eval_bool(row)) out.append(row);
   }
   count(metrics, common::metric::kRowsScanned, static_cast<std::int64_t>(input.size()));
   count(metrics, common::metric::kRowsOutput, static_cast<std::int64_t>(out.size()));
@@ -56,11 +65,12 @@ Relation nested_loop_join(const Relation& left, const Relation& right,
   common::obs::Span span("alg.nested_loop_join");
   const rel::Schema schema = left.schema().concat(right.schema());
   Relation out(schema);
+  const std::optional<BoundExpr> bound = bind_optional(predicate, schema);
   for (const auto& l : left.rows()) {
     for (const auto& r : right.rows()) {
       Tuple combined = l.concat(r);
       count(metrics, common::metric::kTuplesCompared, 1);
-      if (predicate == nullptr || predicate->eval_bool(combined, schema)) {
+      if (!bound || bound->eval_bool(combined)) {
         out.append(std::move(combined));
       }
     }
@@ -95,13 +105,14 @@ Relation hash_join(const Relation& left, const Relation& right,
   const auto& build_cols = build_left ? left_cols : right_cols;
   const auto& probe_cols = build_left ? right_cols : left_cols;
 
+  const std::optional<BoundExpr> bound = bind_optional(residual, schema);
   rel::HashIndex index(build, build_cols);
   for (const auto& p : probe.rows()) {
     for (auto pos : index.probe(p, probe_cols)) {
       const Tuple& b = build.row(pos);
       Tuple combined = build_left ? b.concat(p) : p.concat(b);
       count(metrics, common::metric::kTuplesCompared, 1);
-      if (residual == nullptr || residual->eval_bool(combined, schema)) {
+      if (!bound || bound->eval_bool(combined)) {
         out.append(std::move(combined));
       }
     }

@@ -1,6 +1,7 @@
 #include "cq/dra.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "algebra/ops.hpp"
@@ -65,16 +66,32 @@ Relation join_plain(const Relation& a, const Relation& b, const ExprPtr& predica
                                metrics);
 }
 
+/// Append `part`'s rows to `sum` (UNION ALL), moving them out of `part`.
+void absorb(Relation& sum, Relation& part) {
+  for (auto& row : part.mutable_rows()) sum.append(std::move(row));
+}
+
 /// (a ⋈ b) with sign bookkeeping: (a⁺−a⁻) ⋈ (b⁺−b⁻)
 ///   = a⁺⋈b⁺ + a⁻⋈b⁻  −  (a⁺⋈b⁻ + a⁻⋈b⁺).
 Signed signed_join(const Signed& a, const Signed& b, const ExprPtr& predicate,
                    bool use_hash, Metrics* metrics) {
   Signed out;
-  out.pos = alg::union_all(join_plain(a.pos, b.pos, predicate, use_hash, metrics),
-                           join_plain(a.neg, b.neg, predicate, use_hash, metrics));
-  out.neg = alg::union_all(join_plain(a.pos, b.neg, predicate, use_hash, metrics),
-                           join_plain(a.neg, b.pos, predicate, use_hash, metrics));
+  out.pos = join_plain(a.pos, b.pos, predicate, use_hash, metrics);
+  Relation neg_neg = join_plain(a.neg, b.neg, predicate, use_hash, metrics);
+  out.neg = join_plain(a.pos, b.neg, predicate, use_hash, metrics);
+  Relation neg_pos = join_plain(a.neg, b.pos, predicate, use_hash, metrics);
+  absorb(out.pos, neg_neg);
+  absorb(out.neg, neg_pos);
   return out;
+}
+
+/// True when `schema`'s attributes are named `names`, in that order.
+bool named_in_order(const rel::Schema& schema, const std::vector<std::string>& names) {
+  if (schema.size() != names.size()) return false;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (schema.at(i).name != names[i]) return false;
+  }
+  return true;
 }
 
 std::vector<std::string> canonical_names(const std::vector<rel::Schema>& schemas) {
@@ -203,23 +220,26 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
     st.changed_relations = changed.size();
   }
 
-  // Filtered, qualified current base state, built lazily and shared by all
-  // terms. Position i is ever bound to its base only when it is unchanged
-  // (then every term binds it) or when k >= 2 (terms substituting a
-  // *different* relation's delta bind i's base). In particular the common
-  // single-relation CQ never touches the base at all — the heart of the
-  // paper's efficiency claim.
+  // Filtered, qualified current base state (all weight +1), built lazily
+  // and shared by all terms. Position i is ever bound to its base only when
+  // it is unchanged (then every term binds it) or when k >= 2 (terms
+  // substituting a *different* relation's delta bind i's base). In
+  // particular the common single-relation CQ never touches the base at
+  // all — the heart of the paper's efficiency claim.
   const std::size_t k = changed.size();
-  std::vector<Relation> base(n);
+  std::vector<Signed> base(n);
   std::vector<bool> base_built(n, false);
-  auto base_of = [&](std::size_t i) -> const Relation& {
+  auto base_of = [&](std::size_t i) -> const Signed& {
     if (!base_built[i]) {
-      base[i] = qry::qualified_copy(db.table(query.from[i].table), query.from[i]);
+      const Relation& table = db.table(query.from[i].table);
       const ExprPtr f = planned.filter(i);
-      if (!alg::is_always_true(f)) base[i] = alg::select(base[i], *f, metrics);
+      base[i].pos = alg::is_always_true(f)
+                        ? qry::qualified_copy(table, query.from[i])
+                        : alg::select(table, schemas[i], *f, metrics);
+      base[i].neg = Relation(schemas[i]);
       if (metrics != nullptr) {
         metrics->add(common::metric::kBaseRowsScanned,
-                     static_cast<std::int64_t>(db.table(query.from[i].table).size()));
+                     static_cast<std::int64_t>(table.size()));
       }
       base_built[i] = true;
     }
@@ -295,25 +315,29 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
     }
 
     const rel::Schema combined = acc.pos.schema().concat(schemas[p]);
-    // Everything else (uncovered equi pairs, residual conjuncts, and the
-    // base table's own pushed-down filter) applies on the combined row.
-    std::vector<ExprPtr> checks = applicable;
+    // The probed table's own pushed-down filter reads only the matched base
+    // row, so it runs first: a match it rejects never becomes a joined row.
+    // The cross-side conjuncts run on the joined row, including the equi
+    // pairs the index matched (index keys equate NULLs; `=` never does).
     const ExprPtr base_filter = planned.filter(p);
-    if (!alg::is_always_true(base_filter)) checks.push_back(base_filter);
-    const ExprPtr residual = alg::conjoin(checks);
-    const bool check_residual = !alg::is_always_true(residual);
+    std::optional<alg::BoundExpr> keep_match;
+    if (!alg::is_always_true(base_filter)) keep_match.emplace(*base_filter, schemas[p]);
+    const ExprPtr cross = alg::conjoin(applicable);
+    std::optional<alg::BoundExpr> keep_joined;
+    if (!alg::is_always_true(cross)) keep_joined.emplace(*cross, combined);
 
+    std::vector<rel::Value> key(acc_cols.size());
+    std::int64_t matches = 0;
     auto probe_side = [&](const Relation& side, Relation& result) {
       for (const auto& row : side.rows()) {
-        std::vector<rel::Value> key;
-        key.reserve(acc_cols.size());
-        for (auto c : acc_cols) key.push_back(row.at(c));
+        for (std::size_t c = 0; c < acc_cols.size(); ++c) key[c] = row.at(acc_cols[c]);
         for (const rel::TupleId tid : index->probe(key)) {
           const rel::Tuple* match = base_table.find(tid);
           CQ_ASSERT(match != nullptr);
+          ++matches;
+          if (keep_match && !keep_match->eval_bool(*match)) continue;
           rel::Tuple joined = row.concat(*match);
-          if (metrics != nullptr) metrics->add(common::metric::kTuplesCompared, 1);
-          if (!check_residual || residual->eval_bool(joined, combined)) {
+          if (!keep_joined || keep_joined->eval_bool(joined)) {
             result.append(std::move(joined));
           }
         }
@@ -323,6 +347,8 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
     out.neg = Relation(combined);
     probe_side(acc.pos, out.pos);
     probe_side(acc.neg, out.neg);
+    // Every index match counts as a comparison, kept or not.
+    if (metrics != nullptr) metrics->add(common::metric::kTuplesCompared, matches);
     st.index_probes += acc.size();
     return true;
   };
@@ -370,19 +396,15 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
         qry::plan(query, schemas, term_cards, &term_samples);
 
     std::vector<ExprPtr> pending = term_plan.join_conjuncts;
-    std::vector<Signed> materialized(n);
-    auto bind_base = [&](std::size_t p) -> const Signed& {
-      if (materialized[p].pos.schema().empty()) {
-        materialized[p] = Signed{base_of(p), Relation(schemas[p])};
-      }
-      return materialized[p];
-    };
 
+    // The accumulator borrows its first input (a bound delta or the shared
+    // base) and points at `owned` once a step has produced new rows.
     const std::size_t first = term_plan.join_order[0];
-    Signed acc = bound[first] != nullptr ? *bound[first] : bind_base(first);
-    for (std::size_t step = 1; step < n && !acc.zero(); ++step) {
+    const Signed* acc = bound[first] != nullptr ? bound[first] : &base_of(first);
+    Signed owned;
+    for (std::size_t step = 1; step < n && !acc->zero(); ++step) {
       const std::size_t p = term_plan.join_order[step];
-      const rel::Schema combined = acc.pos.schema().concat(schemas[p]);
+      const rel::Schema combined = acc->pos.schema().concat(schemas[p]);
       std::vector<ExprPtr> applicable;
       std::vector<ExprPtr> still_pending;
       for (const auto& conjunct : pending) {
@@ -396,32 +418,42 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
 
       Signed via_index;
       if (bound[p] == nullptr && options.use_persistent_indexes &&
-          try_index_join(acc, p, applicable, via_index)) {
-        acc = std::move(via_index);
-        continue;
+          try_index_join(*acc, p, applicable, via_index)) {
+        owned = std::move(via_index);
+      } else {
+        const Signed& next = bound[p] != nullptr ? *bound[p] : base_of(p);
+        owned = signed_join(*acc, next, alg::conjoin(applicable), options.use_hash_join,
+                            metrics);
       }
-      const Signed& next = bound[p] != nullptr ? *bound[p] : bind_base(p);
-      acc = signed_join(acc, next, alg::conjoin(applicable), options.use_hash_join,
-                        metrics);
+      acc = &owned;
     }
-    if (acc.zero()) continue;
+    if (acc->zero()) continue;
     if (!pending.empty()) {
       const ExprPtr rest = alg::conjoin(pending);
-      acc.pos = alg::select(acc.pos, *rest, metrics);
-      acc.neg = alg::select(acc.neg, *rest, metrics);
+      owned = Signed{alg::select(acc->pos, *rest, metrics),
+                     alg::select(acc->neg, *rest, metrics)};
+      acc = &owned;
     }
 
-    // Canonical column order so all terms line up.
-    if (n > 1) {
-      acc.pos = alg::project(acc.pos, canon, false, metrics);
-      acc.neg = alg::project(acc.neg, canon, false, metrics);
+    // Canonical column order so all terms line up (already so when the
+    // join order matched FROM order).
+    if (!named_in_order(acc->pos.schema(), canon)) {
+      owned = Signed{alg::project(acc->pos, canon, false, metrics),
+                     alg::project(acc->neg, canon, false, metrics)};
+      acc = &owned;
+    }
+    // Only a single-relation CQ's one term still borrows here, and what it
+    // borrows is its delta, which no other term reads: take it.
+    if (acc != &owned) {
+      CQ_ASSERT(acc == &delta[first]);
+      owned = std::move(delta[first]);
     }
 
     // Term sign: unchanged positions bind the *current* state, so the term
     // carries (−1)^(|b|+1).
     const bool positive = (popcount % 2) == 1;
-    sum_pos = alg::union_all(sum_pos, positive ? acc.pos : acc.neg);
-    sum_neg = alg::union_all(sum_neg, positive ? acc.neg : acc.pos);
+    absorb(sum_pos, positive ? owned.pos : owned.neg);
+    absorb(sum_neg, positive ? owned.neg : owned.pos);
   }
 
   // ---- projection (DiffProj: linear, keeps signs), then consolidation ----

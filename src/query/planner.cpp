@@ -22,8 +22,9 @@ double sampled_selectivity(const rel::Relation& input, const alg::ExprPtr& filte
   const std::size_t n = std::min(input.size(), kPlannerSampleSize);
   if (n == 0) return 1.0;
   std::size_t hits = 0;
+  const alg::BoundExpr bound(*filter, input.schema());
   for (std::size_t i = 0; i < n; ++i) {
-    if (filter->eval_bool(input.row(i), input.schema())) ++hits;
+    if (bound.eval_bool(input.row(i))) ++hits;
   }
   return std::max(0.5 / static_cast<double>(n),
                   static_cast<double>(hits) / static_cast<double>(n));

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "algebra/predicate.hpp"
 #include "common/error.hpp"
 
@@ -141,6 +143,69 @@ TEST(Conjoin, EmptyIsTrue) {
 TEST(Conjoin, SingleIsIdentity) {
   const auto e = Expr::col_cmp("price", CmpOp::kGt, Value(1));
   EXPECT_EQ(conjoin({e}), e);
+}
+
+// The bound evaluator resolves columns once but keeps the by-name error
+// timing: binding never throws, evaluation throws only on reaching the
+// offending node.
+
+TEST(BoundExpr, AmbiguousBareColumnThrowsNotFoundWhenReached) {
+  const Schema joined = Schema::of({{"S.price", ValueType::kInt},
+                                    {"T.price", ValueType::kInt}});
+  const Tuple row({Value(1), Value(2)});
+  const auto bare = Expr::col("price");
+  std::optional<BoundExpr> bound;
+  ASSERT_NO_THROW(bound.emplace(*bare, joined));
+  EXPECT_THROW((void)bound->eval(row), common::NotFound);
+  EXPECT_THROW((void)bare->eval(row, joined), common::NotFound);
+  // The qualified names resolve to their own positions.
+  EXPECT_EQ(BoundExpr(*Expr::col("T.price"), joined).eval(row), Value(2));
+}
+
+TEST(BoundExpr, ShortCircuitSkipsUnresolvedColumn) {
+  const auto missing = Expr::col_cmp("missing", CmpOp::kEq, Value(1));
+  const auto guarded_and = Expr::logical_and(Expr::lit(Value(false)), missing);
+  const auto guarded_or = Expr::logical_or(Expr::lit(Value(true)), missing);
+  std::optional<BoundExpr> bound;
+  ASSERT_NO_THROW(bound.emplace(*guarded_and, kSchema));
+  EXPECT_FALSE(bound->eval_bool(kRow));
+  EXPECT_EQ(bound->eval(kRow), Value(false));
+  EXPECT_TRUE(BoundExpr(*guarded_or, kSchema).eval_bool(kRow));
+  // Once evaluation reaches the column, it throws.
+  const auto reached = Expr::logical_and(Expr::lit(Value(true)), missing);
+  EXPECT_THROW((void)BoundExpr(*reached, kSchema).eval_bool(kRow), common::NotFound);
+}
+
+TEST(BoundExpr, TreePastMaxDepthThrowsInvalidArgumentWhenReached) {
+  ExprPtr deep = Expr::col("price");
+  for (std::size_t i = 0; i < Expr::kMaxEvalDepth + 8; ++i) {
+    deep = Expr::arith(ArithOp::kAdd, deep, Expr::lit(Value(1)));
+  }
+  std::optional<BoundExpr> bound;
+  ASSERT_NO_THROW(bound.emplace(*deep, kSchema));
+  EXPECT_THROW((void)bound->eval(kRow), common::InvalidArgument);
+  EXPECT_THROW((void)deep->eval(kRow, kSchema), common::InvalidArgument);
+  // Behind a short-circuit the depth ceiling is never reached.
+  const auto guarded = Expr::logical_and(
+      Expr::lit(Value(false)), Expr::cmp(CmpOp::kGt, deep, Expr::lit(Value(0))));
+  EXPECT_FALSE(BoundExpr(*guarded, kSchema).eval_bool(kRow));
+  // A chain just inside the ceiling still evaluates.
+  ExprPtr shallow = Expr::col("price");
+  for (std::size_t i = 0; i + 1 < Expr::kMaxEvalDepth; ++i) {
+    shallow = Expr::arith(ArithOp::kAdd, shallow, Expr::lit(Value(1)));
+  }
+  EXPECT_EQ(shallow->eval(kRow, kSchema),
+            Value(static_cast<std::int64_t>(150 + Expr::kMaxEvalDepth - 1)));
+}
+
+TEST(BoundExpr, BindsOnceForManyRows) {
+  const auto pred = Expr::logical_and(Expr::col_cmp("price", CmpOp::kGt, Value(100)),
+                                      Expr::like_prefix(Expr::col("name"), "D"));
+  const BoundExpr bound(*pred, kSchema);
+  EXPECT_TRUE(bound.eval_bool(kRow));
+  EXPECT_FALSE(bound.eval_bool(Tuple({Value("DEC"), Value(99), Value(1)})));
+  EXPECT_FALSE(bound.eval_bool(Tuple({Value("IBM"), Value(150), Value(1)})));
+  EXPECT_FALSE(bound.eval_bool(Tuple({Value::null(), Value(150), Value(1)})));
 }
 
 TEST(Expr, NullChildrenRejected) {
