@@ -3,7 +3,8 @@
 // (2, 3) x number of *changed* relations k (1..n), DRA vs recompute.
 // The DRA evaluates 2^k − 1 differential terms; recompute pays the full
 // join each time. Also ablation A1: hash join vs nested-loop inside the
-// differential terms.
+// differential terms, and a k = 2 row whose deltas mix inserts, deletes and
+// modifications.
 #include "bench_support.hpp"
 
 namespace cq::bench {
@@ -132,6 +133,33 @@ void BM_DraJoinIndexedSelective(benchmark::State& state) {
 
 BENCHMARK(BM_DraJoinIndexedSelective)->Arg(100)->Arg(10)->Arg(1)
     ->Unit(benchmark::kMicrosecond);
+
+/// Both sides of an unindexed 2-way join changed (k = 2), each delta
+/// holding inserts, deletes and modifications (arg = updates per table).
+/// Every term joins weighted relations in one pass: a signed delta against
+/// the other side's current base or its signed delta, probing each input
+/// once whatever its mix of insertions and deletions.
+void BM_DraJoinMixedDeltas(benchmark::State& state) {
+  const auto updates = static_cast<std::size_t>(state.range(0));
+  const JoinScenario& s = join_scenario(2, kRows, updates, 2);
+  common::Metrics metrics;
+  core::DraStats stats;
+  std::size_t result_rows = 0;
+  for (auto _ : state) {
+    const core::DiffResult d =
+        core::dra_differential(s.query, s.db, s.t0, &metrics, {}, &stats);
+    result_rows = d.size();
+    benchmark::DoNotOptimize(&d);
+  }
+  export_metrics(state, metrics);
+  state.counters["terms"] = static_cast<double>(stats.terms_evaluated);
+  state.counters["tuples_compared"] = benchmark::Counter(
+      static_cast<double>(metrics.get(common::metric::kTuplesCompared)),
+      benchmark::Counter::kAvgIterations);
+  state.counters["result_rows"] = static_cast<double>(result_rows);
+}
+
+BENCHMARK(BM_DraJoinMixedDeltas)->Arg(150)->Arg(1000)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace cq::bench

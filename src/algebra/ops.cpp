@@ -149,59 +149,6 @@ Relation join(const Relation& left, const Relation& right, const ExprPtr& predic
                           metrics);
 }
 
-Relation union_all(const Relation& a, const Relation& b) {
-  if (!a.schema().union_compatible(b.schema())) {
-    throw common::SchemaMismatch("union_all: incompatible schemas " +
-                                 a.schema().to_string() + " vs " + b.schema().to_string());
-  }
-  Relation out(a.schema());
-  for (const auto& row : a.rows()) out.append(row);
-  for (const auto& row : b.rows()) {
-    Tuple copy = row;  // keep values; drop tid collisions to appended copies
-    out.append(std::move(copy));
-  }
-  return out;
-}
-
-Relation difference(const Relation& a, const Relation& b) {
-  if (!a.schema().union_compatible(b.schema())) {
-    throw common::SchemaMismatch("difference: incompatible schemas " +
-                                 a.schema().to_string() + " vs " +
-                                 b.schema().to_string());
-  }
-  rel::TupleBag to_remove;
-  for (const auto& row : b.rows()) to_remove.add(row, +1);
-  Relation out(a.schema());
-  // Count occurrences of each value-row in a as we stream, removing up to
-  // the multiplicity present in b.
-  rel::TupleBag removed;
-  for (const auto& row : a.rows()) {
-    if (removed.count(row) < to_remove.count(row)) {
-      removed.add(row, +1);
-    } else {
-      out.append(row);
-    }
-  }
-  return out;
-}
-
-Relation intersect(const Relation& a, const Relation& b) {
-  if (!a.schema().union_compatible(b.schema())) {
-    throw common::SchemaMismatch("intersect: incompatible schemas");
-  }
-  rel::TupleBag available;
-  for (const auto& row : b.rows()) available.add(row, +1);
-  rel::TupleBag taken;
-  Relation out(a.schema());
-  for (const auto& row : a.rows()) {
-    if (taken.count(row) < available.count(row)) {
-      taken.add(row, +1);
-      out.append(row);
-    }
-  }
-  return out;
-}
-
 Relation distinct(const Relation& input) {
   rel::TupleBag seen;
   Relation out(input.schema());

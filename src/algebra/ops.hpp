@@ -53,17 +53,6 @@ namespace cq::alg {
                                  const ExprPtr& predicate,
                                  common::Metrics* metrics = nullptr);
 
-/// Multiset union (UNION ALL). Schemas must be union-compatible; the output
-/// uses the left schema.
-[[nodiscard]] rel::Relation union_all(const rel::Relation& a, const rel::Relation& b);
-
-/// Multiset difference a − b: removes one occurrence per matching row in b.
-/// This is the paper's Diff building block (Section 4.2).
-[[nodiscard]] rel::Relation difference(const rel::Relation& a, const rel::Relation& b);
-
-/// Multiset intersection.
-[[nodiscard]] rel::Relation intersect(const rel::Relation& a, const rel::Relation& b);
-
 /// Duplicate elimination by value.
 [[nodiscard]] rel::Relation distinct(const rel::Relation& input);
 

@@ -236,7 +236,9 @@ void attach_group_lineage(const AggregateState& state, const DiffResult& raw,
 
 rel::Relation distinct_from_counts(const rel::TupleBag& counts, const rel::Schema& schema) {
   Relation out(schema);
-  counts.for_each([&](const rel::Tuple& t, std::ptrdiff_t) { out.append(t); });
+  counts.for_each([&](const std::vector<rel::Value>& values, std::ptrdiff_t) {
+    out.append(rel::Tuple(values));
+  });
   return out;
 }
 

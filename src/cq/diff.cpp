@@ -1,9 +1,10 @@
 #include "cq/diff.hpp"
 
+#include <cstdint>
 #include <sstream>
 #include <unordered_map>
+#include <vector>
 
-#include "algebra/ops.hpp"
 #include "common/error.hpp"
 
 namespace cq::core {
@@ -13,62 +14,70 @@ using rel::Tuple;
 
 namespace {
 
-// Why-provenance must survive multiset cancellation: one net joined row can
-// appear as several value-equal signed instances across DRA terms (ΔS⋈T',
-// S'⋈ΔT, ΔS⋈ΔT), each citing only its own term's deltas. The instance the
-// streaming difference happens to keep is arbitrary, so attach the union of
-// every value-equal instance's sources to the surviving rows instead.
-void merge_value_provenance(const DiffResult& raw, DiffResult& out) {
-  std::unordered_map<std::size_t,
-                     std::vector<std::pair<const Tuple*, rel::prov::ProvSetPtr>>>
-      by_value;
-  auto fold = [&](const Relation& r) {
-    for (const auto& row : r.rows()) {
-      if (row.prov() == nullptr) continue;
-      auto& bucket = by_value[row.value_hash()];
-      bool found = false;
-      for (auto& [exemplar, set] : bucket) {
-        if (exemplar->same_values(row)) {
-          set = rel::prov::merge(set, row.prov());
-          found = true;
-          break;
-        }
-      }
-      if (!found) bucket.emplace_back(&row, row.prov());
-    }
-  };
-  fold(raw.inserted);
-  fold(raw.deleted);
-  if (by_value.empty()) return;
-  auto attach = [&](Relation& r) {
-    for (auto& row : r.mutable_rows()) {
-      auto it = by_value.find(row.value_hash());
-      if (it == by_value.end()) continue;
-      for (const auto& [exemplar, set] : it->second) {
-        if (exemplar->same_values(row)) {
-          row.set_prov(set);
-          break;
-        }
-      }
-    }
-  };
-  attach(out.inserted);
-  attach(out.deleted);
+/// `plus` at weight +1 followed by `minus` at −1.
+Relation signed_stream(const Relation& plus, const Relation& minus) {
+  Relation stream(plus.schema());
+  stream.mutable_rows().reserve(plus.size() + minus.size());
+  for (const auto& row : plus.rows()) stream.append(row);
+  for (const auto& row : minus.rows()) {
+    stream.append(row);
+    stream.mutable_rows().back().set_weight(-1);
+  }
+  return stream;
 }
 
 }  // namespace
 
 bool DiffResult::equivalent(const DiffResult& other) const {
-  const DiffResult a = consolidated();
-  const DiffResult b = other.consolidated();
-  return a.inserted.equal_multiset(b.inserted) && a.deleted.equal_multiset(b.deleted);
+  if (!inserted.schema().union_compatible(other.inserted.schema()) ||
+      !deleted.schema().union_compatible(other.deleted.schema())) {
+    return false;
+  }
+  rel::TupleBag net;
+  for (const auto& row : inserted.rows()) net.add(row, +1);
+  for (const auto& row : deleted.rows()) net.add(row, -1);
+  for (const auto& row : other.inserted.rows()) net.add(row, -1);
+  for (const auto& row : other.deleted.rows()) net.add(row, +1);
+  return net.all_zero();
 }
 
 DiffResult DiffResult::consolidated() const {
+  return consolidate(signed_stream(inserted, deleted));
+}
+
+DiffResult consolidate(Relation stream) {
+  std::vector<Tuple>& rows = stream.mutable_rows();
+  // net(v) per value, plus the union of every value-v row's lineage.
+  rel::TupleBag net;
+  std::vector<rel::TupleBag::Entry*> survivor;
+  survivor.reserve(rows.size());
+  for (const auto& row : rows) {
+    rel::TupleBag::Entry& entry = net.entry(row);
+    entry.weight += row.weight();
+    if (row.prov() != nullptr) entry.prov = rel::prov::merge(entry.prov, row.prov());
+    survivor.push_back(&entry);
+  }
+  // Walking backwards, each value keeps its last |net(v)| rows of net(v)'s
+  // sign; survivor[i] is cleared for every other row.
+  for (std::size_t i = rows.size(); i-- > 0;) {
+    const std::int64_t sign = rows[i].weight() > 0 ? 1 : -1;
+    if (survivor[i]->weight * sign > 0) {
+      survivor[i]->weight -= sign;
+    } else {
+      survivor[i] = nullptr;
+    }
+  }
   DiffResult out;
-  out.inserted = alg::difference(inserted, deleted);
-  out.deleted = alg::difference(deleted, inserted);
-  if (rel::prov::enabled()) merge_value_provenance(*this, out);
+  out.inserted = Relation(stream.schema());
+  out.deleted = Relation(stream.schema());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (survivor[i] == nullptr) continue;
+    Tuple& row = rows[i];
+    Relation& side = row.weight() > 0 ? out.inserted : out.deleted;
+    row.set_weight(1);
+    row.set_prov(survivor[i]->prov);
+    side.append(std::move(row));
+  }
   return out;
 }
 
@@ -79,10 +88,7 @@ std::string DiffResult::to_string() const {
 }
 
 DiffResult diff(const Relation& before, const Relation& after) {
-  DiffResult out;
-  out.inserted = alg::difference(after, before);
-  out.deleted = alg::difference(before, after);
-  return out;
+  return consolidate(signed_stream(after, before));
 }
 
 rel::Relation apply_diff(Relation previous, const DiffResult& delta) {

@@ -27,22 +27,32 @@ struct DiffResult {
     return inserted.size() + deleted.size();
   }
 
-  /// Two diffs are equivalent when their inserted and deleted multisets
-  /// match (tids ignored). This is how DRA output is validated against the
-  /// Propagate oracle.
+  /// Two diffs are equivalent when they have the same net effect: every
+  /// value's inserted-minus-deleted multiplicity matches (tids ignored).
+  /// This is how DRA output is validated against the Propagate oracle.
   [[nodiscard]] bool equivalent(const DiffResult& other) const;
 
-  /// Cancel rows present in both inserted and deleted (no net change).
-  /// Needed after summing truth-table terms, where a tuple can be produced
-  /// positively by one term and negatively by another.
+  /// consolidate() over `inserted` at +1 followed by `deleted` at −1:
+  /// cancels rows present on both sides (no net change).
   [[nodiscard]] DiffResult consolidated() const;
 
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Compute Diff(before, after): rows of `after` not in `before` become
-/// inserted; rows of `before` not in `after` become deleted. Multiset
-/// semantics; schemas must be union-compatible.
+/// Consolidate a signed row stream (every row weighs +1 or −1) into ΔQ.
+/// With net(v) the summed weight of the rows with values v, a row survives
+/// iff it is among the last |net(v)| rows of value v that carry net(v)'s
+/// sign. Positive survivors become `inserted` and negative ones `deleted`,
+/// each in stream order, reset to weight +1 and carrying the union of the
+/// lineage sets of every value-v row: one net row can be produced by
+/// several DRA terms (ΔS⋈T', S'⋈ΔT, ΔS⋈ΔT), each citing only its own
+/// deltas.
+[[nodiscard]] DiffResult consolidate(rel::Relation stream);
+
+/// Compute Diff(before, after): consolidate() over `after` at +1 followed
+/// by `before` at −1, so rows of `after` not in `before` become inserted and
+/// rows of `before` not in `after` become deleted. Multiset semantics;
+/// schemas must be union-compatible.
 [[nodiscard]] DiffResult diff(const rel::Relation& before, const rel::Relation& after);
 
 /// Apply a diff to a previous complete result:

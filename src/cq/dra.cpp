@@ -23,16 +23,6 @@ using rel::Relation;
 
 namespace {
 
-/// A relation with signs: rows in `pos` carry weight +1, rows in `neg`
-/// weight −1. Multiset semantics throughout.
-struct Signed {
-  Relation pos;
-  Relation neg;
-
-  [[nodiscard]] bool zero() const noexcept { return pos.empty() && neg.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return pos.size() + neg.size(); }
-};
-
 Relation join_plain(const Relation& a, const Relation& b, const ExprPtr& predicate,
                     bool use_hash, Metrics* metrics) {
   if (a.empty() || b.empty()) {
@@ -66,22 +56,26 @@ Relation join_plain(const Relation& a, const Relation& b, const ExprPtr& predica
                                metrics);
 }
 
-/// Append `part`'s rows to `sum` (UNION ALL), moving them out of `part`.
-void absorb(Relation& sum, Relation& part) {
-  for (auto& row : part.mutable_rows()) sum.append(std::move(row));
-}
-
-/// (a ⋈ b) with sign bookkeeping: (a⁺−a⁻) ⋈ (b⁺−b⁻)
-///   = a⁺⋈b⁺ + a⁻⋈b⁻  −  (a⁺⋈b⁻ + a⁻⋈b⁺).
-Signed signed_join(const Signed& a, const Signed& b, const ExprPtr& predicate,
-                   bool use_hash, Metrics* metrics) {
-  Signed out;
-  out.pos = join_plain(a.pos, b.pos, predicate, use_hash, metrics);
-  Relation neg_neg = join_plain(a.neg, b.neg, predicate, use_hash, metrics);
-  out.neg = join_plain(a.pos, b.neg, predicate, use_hash, metrics);
-  Relation neg_pos = join_plain(a.neg, b.pos, predicate, use_hash, metrics);
-  absorb(out.pos, neg_neg);
-  absorb(out.neg, neg_pos);
+/// ΔR as one weighted relation under `schema`: the insertions at +1
+/// followed by the deletions at −1, each kept only where `filter` holds.
+Relation bind_delta(const Relation& ins, const Relation& del, const rel::Schema& schema,
+                    const ExprPtr& filter, Metrics* metrics) {
+  Relation out(schema);
+  out.mutable_rows().reserve(ins.size() + del.size());
+  std::optional<alg::BoundExpr> keep;
+  if (!alg::is_always_true(filter)) keep.emplace(*filter, schema);
+  for (const auto& [side, weight] : {std::pair{&ins, 1}, std::pair{&del, -1}}) {
+    for (const auto& row : side->rows()) {
+      if (keep && !keep->eval_bool(row)) continue;
+      out.append(row);
+      out.mutable_rows().back().set_weight(weight);
+    }
+  }
+  if (keep && metrics != nullptr) {
+    metrics->add(common::metric::kRowsScanned,
+                 static_cast<std::int64_t>(ins.size() + del.size()));
+    metrics->add(common::metric::kRowsOutput, static_cast<std::int64_t>(out.size()));
+  }
   return out;
 }
 
@@ -153,7 +147,7 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
   result.inserted = Relation(out_schema);
   result.deleted = Relation(out_schema);
 
-  std::vector<Signed> delta(n);       // filtered, qualified ΔRi (signed)
+  std::vector<Relation> delta(n);     // filtered, qualified, weighted ΔRi
   std::vector<std::size_t> changed;   // indexes of changed FROM entries
   // insertions/deletions(ΔRi): snapshot views shared by the whole dispatch,
   // read in place and copied only as far as the filter below keeps them.
@@ -186,17 +180,9 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
   // irrelevance check and shrinks every term.
   bool any_relevant = false;
   for (auto i : changed) {
-    const ExprPtr f = planned.filter(i);
     const auto& [ins, del] = views[i];
-    if (alg::is_always_true(f)) {
-      delta[i] = Signed{*ins, *del};
-      delta[i].pos.set_schema(schemas[i]);
-      delta[i].neg.set_schema(schemas[i]);
-    } else {
-      delta[i] = Signed{alg::select(*ins, schemas[i], *f, metrics),
-                        alg::select(*del, schemas[i], *f, metrics)};
-    }
-    if (!delta[i].zero()) any_relevant = true;
+    delta[i] = bind_delta(*ins, *del, schemas[i], planned.filter(i), metrics);
+    if (!delta[i].empty()) any_relevant = true;
   }
   if (options.irrelevance_check) {
     // Section 5.2 refinement: updates whose filtered delta is empty cannot
@@ -210,7 +196,7 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
       return result;
     }
     changed.erase(std::remove_if(changed.begin(), changed.end(),
-                                 [&](std::size_t i) { return delta[i].zero(); }),
+                                 [&](std::size_t i) { return delta[i].empty(); }),
                   changed.end());
     if (changed.empty()) {
       st.skipped_irrelevant = true;
@@ -227,16 +213,14 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
   // particular the common single-relation CQ never touches the base at
   // all — the heart of the paper's efficiency claim.
   const std::size_t k = changed.size();
-  std::vector<Signed> base(n);
+  std::vector<Relation> base(n);
   std::vector<bool> base_built(n, false);
-  auto base_of = [&](std::size_t i) -> const Signed& {
+  auto base_of = [&](std::size_t i) -> const Relation& {
     if (!base_built[i]) {
       const Relation& table = db.table(query.from[i].table);
       const ExprPtr f = planned.filter(i);
-      base[i].pos = alg::is_always_true(f)
-                        ? qry::qualified_copy(table, query.from[i])
-                        : alg::select(table, schemas[i], *f, metrics);
-      base[i].neg = Relation(schemas[i]);
+      base[i] = alg::is_always_true(f) ? qry::qualified_copy(table, query.from[i])
+                                       : alg::select(table, schemas[i], *f, metrics);
       if (metrics != nullptr) {
         metrics->add(common::metric::kBaseRowsScanned,
                      static_cast<std::int64_t>(table.size()));
@@ -246,18 +230,17 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
     return base[i];
   };
 
-  // ---- truth table: one signed SPJ term per non-zero row (step 2) ----
+  // ---- truth table: one weighted SPJ term per non-zero row (step 2) ----
   if (k > 20) throw common::InvalidArgument("dra: too many changed relations");
-  Relation sum_pos(joined_schema);
-  Relation sum_neg(joined_schema);
+  Relation sum(joined_schema);  // every term's rows, term sign multiplied in
 
   // Probe an unchanged position's *persistent index* (when one covers an
   // equi conjunct against the already-joined accumulator) instead of
   // materializing and hashing its filtered base: O(|acc| · fanout) per term
   // rather than O(|base|). Returns false when no usable index exists.
-  auto try_index_join = [&](const Signed& acc, std::size_t p,
+  auto try_index_join = [&](const Relation& acc, std::size_t p,
                             const std::vector<ExprPtr>& applicable,
-                            Signed& out) -> bool {
+                            Relation& out) -> bool {
     const rel::Relation& base_table = db.table(query.from[p].table);
     // Collect equi pairs (acc column, base column) from the applicable
     // conjuncts; positions in schemas[p] equal positions in the base schema.
@@ -273,9 +256,9 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
           b->kind() != alg::Expr::Kind::kColumn) {
         continue;
       }
-      const auto a_acc = acc.pos.schema().find(a->column());
+      const auto a_acc = acc.schema().find(a->column());
       const auto a_base = schemas[p].find(a->column());
-      const auto b_acc = acc.pos.schema().find(b->column());
+      const auto b_acc = acc.schema().find(b->column());
       const auto b_base = schemas[p].find(b->column());
       if (a_acc && b_base && !a_base && !b_acc) {
         pairs.emplace_back(*a_acc, *b_base);
@@ -314,7 +297,7 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
       if (!found) return false;
     }
 
-    const rel::Schema combined = acc.pos.schema().concat(schemas[p]);
+    const rel::Schema combined = acc.schema().concat(schemas[p]);
     // The probed table's own pushed-down filter reads only the matched base
     // row, so it runs first: a match it rejects never becomes a joined row.
     // The cross-side conjuncts run on the joined row, including the equi
@@ -328,25 +311,18 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
 
     std::vector<rel::Value> key(acc_cols.size());
     std::int64_t matches = 0;
-    auto probe_side = [&](const Relation& side, Relation& result) {
-      for (const auto& row : side.rows()) {
-        for (std::size_t c = 0; c < acc_cols.size(); ++c) key[c] = row.at(acc_cols[c]);
-        for (const rel::TupleId tid : index->probe(key)) {
-          const rel::Tuple* match = base_table.find(tid);
-          CQ_ASSERT(match != nullptr);
-          ++matches;
-          if (keep_match && !keep_match->eval_bool(*match)) continue;
-          rel::Tuple joined = row.concat(*match);
-          if (!keep_joined || keep_joined->eval_bool(joined)) {
-            result.append(std::move(joined));
-          }
-        }
+    out = Relation(combined);
+    for (const auto& row : acc.rows()) {
+      for (std::size_t c = 0; c < acc_cols.size(); ++c) key[c] = row.at(acc_cols[c]);
+      for (const rel::TupleId tid : index->probe(key)) {
+        const rel::Tuple* match = base_table.find(tid);
+        CQ_ASSERT(match != nullptr);
+        ++matches;
+        if (keep_match && !keep_match->eval_bool(*match)) continue;
+        rel::Tuple joined = row.concat(*match);
+        if (!keep_joined || keep_joined->eval_bool(joined)) out.append(std::move(joined));
       }
-    };
-    out.pos = Relation(combined);
-    out.neg = Relation(combined);
-    probe_side(acc.pos, out.pos);
-    probe_side(acc.neg, out.neg);
+    }
     // Every index match counts as a comparison, kept or not.
     if (metrics != nullptr) metrics->add(common::metric::kTuplesCompared, matches);
     st.index_probes += acc.size();
@@ -355,9 +331,9 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
 
   for (std::size_t bits = 1; bits < (static_cast<std::size_t>(1) << k); ++bits) {
     // Bind each FROM position for this term: a changed position in b gets
-    // its (signed, filtered) delta; the rest bind the current base state,
+    // its (weighted, filtered) delta; the rest bind the current base state,
     // materialized lazily only if a join step actually needs it.
-    std::vector<const Signed*> bound(n, nullptr);
+    std::vector<const Relation*> bound(n, nullptr);
     bool term_zero = false;
     std::size_t popcount = 0;
     for (std::size_t c = 0; c < k; ++c) {
@@ -368,7 +344,7 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
     }
     for (std::size_t i = 0; i < n && !term_zero; ++i) {
       if (bound[i] != nullptr) {
-        if (bound[i]->zero()) term_zero = true;
+        if (bound[i]->empty()) term_zero = true;
       } else if (db.table(query.from[i].table).empty()) {
         term_zero = true;
       }
@@ -387,7 +363,7 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
         term_cards.push_back(bound[i]->size());
         // Delta sides are qualified and already filter-reduced; sampling
         // them stops the planner double-counting the filter's selectivity.
-        term_samples[i] = &bound[i]->pos;
+        term_samples[i] = bound[i];
       } else {
         term_cards.push_back(db.table(query.from[i].table).size());
       }
@@ -400,11 +376,11 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
     // The accumulator borrows its first input (a bound delta or the shared
     // base) and points at `owned` once a step has produced new rows.
     const std::size_t first = term_plan.join_order[0];
-    const Signed* acc = bound[first] != nullptr ? bound[first] : &base_of(first);
-    Signed owned;
-    for (std::size_t step = 1; step < n && !acc->zero(); ++step) {
+    const Relation* acc = bound[first] != nullptr ? bound[first] : &base_of(first);
+    Relation owned;
+    for (std::size_t step = 1; step < n && !acc->empty(); ++step) {
       const std::size_t p = term_plan.join_order[step];
-      const rel::Schema combined = acc->pos.schema().concat(schemas[p]);
+      const rel::Schema combined = acc->schema().concat(schemas[p]);
       std::vector<ExprPtr> applicable;
       std::vector<ExprPtr> still_pending;
       for (const auto& conjunct : pending) {
@@ -416,30 +392,27 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
       }
       pending = std::move(still_pending);
 
-      Signed via_index;
+      Relation via_index;
       if (bound[p] == nullptr && options.use_persistent_indexes &&
           try_index_join(*acc, p, applicable, via_index)) {
         owned = std::move(via_index);
       } else {
-        const Signed& next = bound[p] != nullptr ? *bound[p] : base_of(p);
-        owned = signed_join(*acc, next, alg::conjoin(applicable), options.use_hash_join,
-                            metrics);
+        const Relation& next = bound[p] != nullptr ? *bound[p] : base_of(p);
+        owned = join_plain(*acc, next, alg::conjoin(applicable), options.use_hash_join,
+                           metrics);
       }
       acc = &owned;
     }
-    if (acc->zero()) continue;
+    if (acc->empty()) continue;
     if (!pending.empty()) {
-      const ExprPtr rest = alg::conjoin(pending);
-      owned = Signed{alg::select(acc->pos, *rest, metrics),
-                     alg::select(acc->neg, *rest, metrics)};
+      owned = alg::select(*acc, *alg::conjoin(pending), metrics);
       acc = &owned;
     }
 
     // Canonical column order so all terms line up (already so when the
     // join order matched FROM order).
-    if (!named_in_order(acc->pos.schema(), canon)) {
-      owned = Signed{alg::project(acc->pos, canon, false, metrics),
-                     alg::project(acc->neg, canon, false, metrics)};
+    if (!named_in_order(acc->schema(), canon)) {
+      owned = alg::project(*acc, canon, false, metrics);
       acc = &owned;
     }
     // Only a single-relation CQ's one term still borrows here, and what it
@@ -451,26 +424,22 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
 
     // Term sign: unchanged positions bind the *current* state, so the term
     // carries (−1)^(|b|+1).
-    const bool positive = (popcount % 2) == 1;
-    absorb(sum_pos, positive ? owned.pos : owned.neg);
-    absorb(sum_neg, positive ? owned.neg : owned.pos);
+    const std::int64_t sign = popcount % 2 == 1 ? 1 : -1;
+    for (auto& row : owned.mutable_rows()) {
+      row.set_weight(row.weight() * sign);
+      sum.append(std::move(row));
+    }
   }
 
-  // ---- projection (DiffProj: linear, keeps signs), then consolidation ----
-  if (!query.projection.empty()) {
-    sum_pos = alg::project(sum_pos, query.projection, false, metrics);
-    sum_neg = alg::project(sum_neg, query.projection, false, metrics);
-  }
-  DiffResult raw;
-  raw.inserted = std::move(sum_pos);
-  raw.deleted = std::move(sum_neg);
+  // ---- projection (DiffProj: linear, keeps weights), then consolidation ----
+  if (!query.projection.empty()) sum = alg::project(sum, query.projection, false, metrics);
   if (metrics != nullptr) {
     metrics->add(common::metric::kDraTermsEvaluated,
                  static_cast<std::int64_t>(st.terms_evaluated));
     metrics->add(common::metric::kIndexProbes,
                  static_cast<std::int64_t>(st.index_probes));
   }
-  return raw.consolidated();
+  return consolidate(std::move(sum));
 }
 
 }  // namespace cq::core

@@ -10,16 +10,19 @@
 //      Section 4.2 input (iv)).
 //   2. Enumerate the 2^k − 1 non-zero truth-table rows. Each row b yields
 //      one SPJ term in which ΔRi is substituted for Ri wherever b_i = 1.
-//      ΔRi is a *signed* relation: insertions(ΔRi) carry weight +1 and
-//      deletions(ΔRi) weight −1 (a modification contributes one of each).
-//   3. Evaluate each term differentially (DiffSelect/DiffProj/DiffJoin):
-//      selections push below joins, joins multiply signs, and the term's
-//      overall sign is (−1)^(|b|+1) because unchanged positions bind the
-//      *current* base state R'i = Ri ∪ ΔRi rather than the old state —
-//      algebraically equivalent to the paper's formulation, but it avoids
-//      materializing pre-update base snapshots.
-//   4. Sum the terms and consolidate: net-positive rows are ΔQ insertions,
-//      net-negative rows are ΔQ deletions.
+//      ΔRi binds as one weighted relation (rel::Tuple::weight): its
+//      insertions at +1 followed by its deletions at −1 (a modification
+//      contributes one of each).
+//   3. Evaluate each term differentially (DiffSelect/DiffProj/DiffJoin) with
+//      the plain operators, once per step: selections push below joins,
+//      joins multiply weights, and the term's rows take its overall sign
+//      (−1)^(|b|+1) because unchanged positions bind the *current* base
+//      state R'i = Ri ∪ ΔRi rather than the old state — algebraically
+//      equivalent to the paper's formulation, but it avoids materializing
+//      pre-update base snapshots.
+//   4. Append every term's rows to one weighted sum and consolidate it once
+//      (core::consolidate): net-positive rows are ΔQ insertions,
+//      net-negative rows are ΔQ deletions, each back at weight +1.
 //
 // The result is functionally equivalent to Propagate (propagate.hpp); the
 // property tests in tests/dra_oracle_test.cpp check exactly this.

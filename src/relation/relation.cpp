@@ -197,23 +197,24 @@ std::vector<Tuple> Relation::sorted_rows() const {
   return out;
 }
 
-void TupleBag::add(const Tuple& t, std::ptrdiff_t count) {
-  // Strip the tid so identical values always land in one bucket.
-  Tuple key(t.values());
-  auto it = counts_.find(key);
-  if (it == counts_.end()) {
-    counts_.emplace(std::move(key), count);
-  } else {
-    it->second += count;
-    if (it->second == 0) counts_.erase(it);
-  }
+void TupleBag::add(const Tuple& t, std::ptrdiff_t weight) {
+  if ((entry(t).weight += weight) == 0) weights_.erase(t.values());
+}
+
+TupleBag::Entry& TupleBag::entry(const Tuple& t) {
+  auto it = weights_.find(t);
+  if (it == weights_.end()) it = weights_.emplace(t.values(), Entry{}).first;
+  return it->second;
 }
 
 std::ptrdiff_t TupleBag::count(const Tuple& t) const {
-  auto it = counts_.find(Tuple(t.values()));
-  return it == counts_.end() ? 0 : it->second;
+  auto it = weights_.find(t);
+  return it == weights_.end() ? 0 : it->second.weight;
 }
 
-bool TupleBag::all_zero() const { return counts_.empty(); }
+bool TupleBag::all_zero() const {
+  return std::all_of(weights_.begin(), weights_.end(),
+                     [](const auto& kv) { return kv.second.weight == 0; });
+}
 
 }  // namespace cq::rel

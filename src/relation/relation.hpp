@@ -113,31 +113,54 @@ class Relation {
   TupleId::rep next_tid_ = 1;
 };
 
-/// Multiset counting map from value-rows to multiplicities.
+/// The value-keyed weight map: a signed multiset of rows keyed by their
+/// field values alone. Tids, weights and lineage never take part in a
+/// lookup, and lookups hash the probe row in place (only a new value copies
+/// its fields into the map). Serves multiset equality, DiffResult
+/// consolidation and equivalence, and DISTINCT multiplicities.
 class TupleBag {
  public:
-  void add(const Tuple& t, std::ptrdiff_t count = 1);
+  /// One value's accumulated weight, plus the lineage sets folded into it.
+  struct Entry {
+    std::ptrdiff_t weight = 0;
+    prov::ProvSetPtr prov;
+  };
+
+  /// Adds `weight` to t's value; a value whose weight returns to zero is
+  /// dropped.
+  void add(const Tuple& t, std::ptrdiff_t weight = 1);
+  /// t's value's entry, created at weight zero when absent. Entries reached
+  /// this way are never dropped, and their addresses stay stable.
+  [[nodiscard]] Entry& entry(const Tuple& t);
   [[nodiscard]] std::ptrdiff_t count(const Tuple& t) const;
-  /// True when every multiplicity is zero.
+  /// True when every weight is zero.
   [[nodiscard]] bool all_zero() const;
-  /// Number of distinct value-rows with non-zero multiplicity.
-  [[nodiscard]] std::size_t distinct_size() const noexcept { return counts_.size(); }
-  /// Visit every (tuple, multiplicity) pair (unspecified order).
+  /// Visit every (values, weight) pair (unspecified order).
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (const auto& [tuple, count] : counts_) fn(tuple, count);
+    for (const auto& [values, entry] : weights_) fn(values, entry.weight);
   }
 
  private:
+  static const std::vector<Value>& values_of(const std::vector<Value>& v) noexcept {
+    return v;
+  }
+  static const std::vector<Value>& values_of(const Tuple& t) noexcept { return t.values(); }
   struct Hash {
-    std::size_t operator()(const Tuple& t) const noexcept { return t.value_hash(); }
-  };
-  struct Eq {
-    bool operator()(const Tuple& a, const Tuple& b) const noexcept {
-      return a.same_values(b);
+    using is_transparent = void;
+    template <typename K>
+    std::size_t operator()(const K& k) const noexcept {
+      return hash_values(values_of(k));
     }
   };
-  std::unordered_map<Tuple, std::ptrdiff_t, Hash, Eq> counts_;
+  struct Eq {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const noexcept {
+      return values_of(a) == values_of(b);
+    }
+  };
+  std::unordered_map<std::vector<Value>, Entry, Hash, Eq> weights_;
 };
 
 }  // namespace cq::rel

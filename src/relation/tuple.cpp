@@ -20,16 +20,19 @@ bool Tuple::same_values(const Tuple& other) const noexcept {
   return true;
 }
 
-std::size_t Tuple::value_hash() const noexcept {
+std::size_t hash_values(const std::vector<Value>& values) noexcept {
   std::size_t h = 0x7091e;
-  for (const auto& v : values_) h = common::hash_combine(h, v);
+  for (const auto& v : values) h = common::hash_combine(h, v);
   return h;
 }
+
+std::size_t Tuple::value_hash() const noexcept { return hash_values(values_); }
 
 Tuple Tuple::concat(const Tuple& other) const {
   std::vector<Value> merged = values_;
   merged.insert(merged.end(), other.values_.begin(), other.values_.end());
   Tuple joined(std::move(merged));
+  joined.weight_ = weight_ * other.weight_;
   if (prov_ || other.prov_) joined.prov_ = prov::merge(prov_, other.prov_);
   return joined;
 }
@@ -39,6 +42,7 @@ Tuple Tuple::project(const std::vector<std::size_t>& indexes) const {
   out.reserve(indexes.size());
   for (auto i : indexes) out.push_back(at(i));
   Tuple projected(std::move(out));
+  projected.weight_ = weight_;
   projected.prov_ = prov_;
   return projected;
 }

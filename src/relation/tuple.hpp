@@ -3,6 +3,13 @@
 // The paper's differential relations are keyed by tid (Section 4.1 Example 1
 // shows tids such as 101088); tids survive modification, so a delta row can
 // pair the old and new versions of the same logical tuple.
+//
+// Inside the DRA a tuple also carries an integer weight (default +1): a
+// delta binds its insertions at +1 and its deletions at −1, joins multiply
+// weights and each truth-table term multiplies in its sign, so one relation
+// holds a signed multiset (a Z-set) and ΔQ is its consolidation
+// (cq/diff.hpp). Consolidation resets survivors to +1; rows outside the DRA
+// always weigh +1.
 #pragma once
 
 #include <cstdint>
@@ -60,17 +67,24 @@ class Tuple {
   [[nodiscard]] const prov::ProvSetPtr& prov() const noexcept { return prov_; }
   void set_prov(prov::ProvSetPtr set) noexcept { prov_ = std::move(set); }
 
+  /// Signed multiplicity inside the DRA (+1 outside it). Never participates
+  /// in same_values/value_hash/byte_size, printing, the wire format or
+  /// snapshots.
+  [[nodiscard]] std::int64_t weight() const noexcept { return weight_; }
+  void set_weight(std::int64_t weight) noexcept { weight_ = weight; }
+
   /// Value equality over the fields only (tids are identity, not value).
   [[nodiscard]] bool same_values(const Tuple& other) const noexcept;
 
   /// Hash of the field values only.
   [[nodiscard]] std::size_t value_hash() const noexcept;
 
-  /// Concatenation (for join outputs). The result carries an invalid tid
-  /// and the union of both sides' lineage sets.
+  /// Concatenation (for join outputs). The result carries an invalid tid,
+  /// the product of both sides' weights and the union of their lineage sets.
   [[nodiscard]] Tuple concat(const Tuple& other) const;
 
-  /// Projection onto the given column indexes; lineage passes through.
+  /// Projection onto the given column indexes; weight and lineage pass
+  /// through.
   [[nodiscard]] Tuple project(const std::vector<std::size_t>& indexes) const;
 
   /// Total serialized size in bytes under the wire cost model.
@@ -81,8 +95,13 @@ class Tuple {
  private:
   std::vector<Value> values_;
   TupleId tid_;
+  std::int64_t weight_ = 1;
   prov::ProvSetPtr prov_;
 };
+
+/// Hash of a row's field values; Tuple::value_hash() of a row with these
+/// values.
+[[nodiscard]] std::size_t hash_values(const std::vector<Value>& values) noexcept;
 
 }  // namespace cq::rel
 

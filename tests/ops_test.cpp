@@ -104,50 +104,6 @@ TEST(Join, AutoSelectsHashAndPushesDown) {
   EXPECT_LT(m.get(common::metric::kTuplesCompared), 9);
 }
 
-TEST(UnionAll, KeepsDuplicates) {
-  const Relation out = union_all(people(), people());
-  EXPECT_EQ(out.size(), 6u);
-}
-
-TEST(UnionAll, SchemaChecked) {
-  EXPECT_THROW(union_all(people(), depts()), common::SchemaMismatch);
-}
-
-TEST(Difference, MultisetSemantics) {
-  Relation a(Schema::of({{"x", ValueType::kInt}}));
-  a.append(Tuple({Value(1)}));
-  a.append(Tuple({Value(1)}));
-  a.append(Tuple({Value(2)}));
-  Relation b(Schema::of({{"x", ValueType::kInt}}));
-  b.append(Tuple({Value(1)}));
-  const Relation out = difference(a, b);
-  EXPECT_EQ(out.size(), 2u);  // one 1 and one 2 remain
-  EXPECT_EQ(out.count_value(Tuple({Value(1)})), 1u);
-  EXPECT_EQ(out.count_value(Tuple({Value(2)})), 1u);
-}
-
-TEST(Difference, RemovingMoreThanPresentIsEmptyNotNegative) {
-  Relation a(Schema::of({{"x", ValueType::kInt}}));
-  a.append(Tuple({Value(1)}));
-  Relation b(Schema::of({{"x", ValueType::kInt}}));
-  b.append(Tuple({Value(1)}));
-  b.append(Tuple({Value(1)}));
-  EXPECT_TRUE(difference(a, b).empty());
-}
-
-TEST(Intersect, MultisetSemantics) {
-  Relation a(Schema::of({{"x", ValueType::kInt}}));
-  a.append(Tuple({Value(1)}));
-  a.append(Tuple({Value(1)}));
-  a.append(Tuple({Value(2)}));
-  Relation b(Schema::of({{"x", ValueType::kInt}}));
-  b.append(Tuple({Value(1)}));
-  b.append(Tuple({Value(3)}));
-  const Relation out = intersect(a, b);
-  EXPECT_EQ(out.size(), 1u);
-  EXPECT_EQ(out.count_value(Tuple({Value(1)})), 1u);
-}
-
 TEST(Distinct, RemovesDuplicates) {
   Relation a(Schema::of({{"x", ValueType::kInt}}));
   a.append(Tuple({Value(1)}));
@@ -162,7 +118,6 @@ TEST(EmptyInputs, AllOperatorsHandleEmpty) {
   EXPECT_TRUE(project(empty, {"p.name"}, true).empty());
   EXPECT_TRUE(nested_loop_join(empty, depts(), nullptr).empty());
   EXPECT_TRUE(hash_join(empty, depts(), {{1, 0}}, nullptr).empty());
-  EXPECT_TRUE(difference(empty, empty).empty());
   EXPECT_TRUE(distinct(empty).empty());
 }
 

@@ -131,6 +131,29 @@ TEST(TupleBag, IgnoresTids) {
   EXPECT_TRUE(bag.all_zero());
 }
 
+TEST(TupleBag, IgnoresWeightsAndLineageInLookups) {
+  TupleBag bag;
+  Tuple weighted({Value(1)}, TupleId(5));
+  weighted.set_weight(-3);
+  weighted.set_prov(prov::leaf({1, 1, 1}));
+  bag.add(weighted, +2);
+  EXPECT_EQ(bag.count(Tuple({Value(1)})), 2);
+  bag.add(Tuple({Value(1)}), -2);
+  EXPECT_TRUE(bag.all_zero());
+}
+
+TEST(TupleBag, EntriesPersistAtZeroWeight) {
+  TupleBag bag;
+  TupleBag::Entry& e = bag.entry(Tuple({Value(7)}));
+  e.weight += 1;
+  bag.entry(Tuple({Value(7)}, TupleId(3))).weight -= 1;
+  EXPECT_EQ(&bag.entry(Tuple({Value(7)})), &e);
+  EXPECT_EQ(bag.count(Tuple({Value(7)})), 0);
+  EXPECT_TRUE(bag.all_zero());
+  e.weight = 2;
+  EXPECT_FALSE(bag.all_zero());
+}
+
 TEST(HashIndex, ProbesByKey) {
   Relation r(two_cols());
   r.insert_values({Value(1), Value("a")});
@@ -150,6 +173,19 @@ TEST(HashIndex, CompositeKey) {
   r.insert_values({Value(1), Value("b")});
   HashIndex idx(r, {0, 1});
   EXPECT_EQ(idx.probe(Tuple({Value(1), Value("a")}), {0, 1}).size(), 1u);
+}
+
+TEST(Tuple, ConcatMultipliesWeightsAndProjectKeepsThem) {
+  Tuple a({Value(1)});
+  Tuple b({Value(2)});
+  EXPECT_EQ(a.weight(), 1);
+  a.set_weight(-1);
+  EXPECT_EQ(a.concat(b).weight(), -1);
+  b.set_weight(-1);
+  EXPECT_EQ(a.concat(b).weight(), 1);
+  EXPECT_EQ(b.concat(Tuple({Value(3)})).weight(), -1);
+  EXPECT_EQ(a.concat(b).project({1}).weight(), 1);
+  EXPECT_EQ(a.project({0}).weight(), -1);
 }
 
 TEST(Tuple, ConcatAndProject) {

@@ -1,5 +1,6 @@
 #include "testing/dra_script.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -232,6 +233,31 @@ std::string compare_step(const core::CqManager& dra_mgr,
   return {};
 }
 
+/// Weights never escape the DRA: every row delivered since the last call
+/// (`checked` counts the notifications already seen) and every row of the
+/// live CQ's saved result weighs +1. Empty string = all do.
+std::string check_unit_weights(const core::CqManager& mgr, core::CqHandle handle,
+                               const core::CollectingSink& sink, std::size_t& checked) {
+  auto weighted = [](const rel::Relation* r) {
+    return r != nullptr && std::any_of(r->rows().begin(), r->rows().end(),
+                                       [](const rel::Tuple& t) { return t.weight() != 1; });
+  };
+  const auto& notifs = sink.notifications();
+  for (; checked < notifs.size(); ++checked) {
+    const core::Notification& n = notifs[checked];
+    if (weighted(&n.delta.inserted) || weighted(&n.delta.deleted) ||
+        weighted(n.complete.get()) || weighted(n.aggregate.get())) {
+      return "notification " + std::to_string(checked) + " delivers a row of weight != 1";
+    }
+  }
+  const auto stats = mgr.cq_stats();
+  if (const auto it = stats.find("cq"); it != stats.end() && !it->second.finished &&
+                                        weighted(mgr.cq(handle).saved_result())) {
+    return "saved result holds a row of weight != 1";
+  }
+  return {};
+}
+
 /// One line per delta row: its sorted provenance set as
 /// "relation:txn:seq" triples. Provenance sets are canonically sorted, so
 /// this is deterministic whenever the delivered stream itself is.
@@ -384,8 +410,9 @@ DraScriptReport run_dra_oracle_script(const std::uint8_t* data, std::size_t size
 
     spec.strategy = core::ExecutionStrategy::kDra;
     bool dra_installed = true;
+    core::CqHandle dra_handle{};
     try {
-      (void)dra_mgr.install(spec, dra_sink);
+      dra_handle = dra_mgr.install(spec, dra_sink);
     } catch (const common::Error&) {
       dra_installed = false;
     }
@@ -414,7 +441,12 @@ DraScriptReport run_dra_oracle_script(const std::uint8_t* data, std::size_t size
       initial_full = core::recompute(query, dra_db);
     }
 
+    std::size_t weights_checked = 0;
     if (const auto m = compare_step(dra_mgr, oracle_mgr, *dra_sink, *oracle_sink);
+        !m.empty()) {
+      return fail(0, m);
+    }
+    if (const auto m = check_unit_weights(dra_mgr, dra_handle, *dra_sink, weights_checked);
         !m.empty()) {
       return fail(0, m);
     }
@@ -463,6 +495,11 @@ DraScriptReport run_dra_oracle_script(const std::uint8_t* data, std::size_t size
         (void)oracle_mgr.poll();
       }
       if (const auto m = compare_step(dra_mgr, oracle_mgr, *dra_sink, *oracle_sink);
+          !m.empty()) {
+        return fail(report.commits, m);
+      }
+      if (const auto m =
+              check_unit_weights(dra_mgr, dra_handle, *dra_sink, weights_checked);
           !m.empty()) {
         return fail(report.commits, m);
       }

@@ -53,6 +53,30 @@ TEST(Wire, RelationRoundTrip) {
   EXPECT_NE(back.find(TupleId(10)), nullptr);
 }
 
+/// The DRA's weight annotation is not part of a row's value: it changes
+/// no comparison, hash, size or encoding, and decoded rows weigh +1.
+TEST(Wire, TupleWeightIsInvisibleOutsideTheDra) {
+  const Tuple plain({Value(1), Value(1.5), Value("a"), Value(true)}, TupleId(10));
+  Tuple weighted = plain;
+  weighted.set_weight(-1);
+  EXPECT_TRUE(weighted.same_values(plain));
+  EXPECT_EQ(weighted.value_hash(), plain.value_hash());
+  EXPECT_EQ(weighted.byte_size(), plain.byte_size());
+  EXPECT_EQ(weighted.to_string(), plain.to_string());
+
+  Relation a(mixed_schema());
+  a.insert(plain);
+  Relation b(mixed_schema());
+  b.insert(weighted);
+  EXPECT_TRUE(a.equal_multiset(b));
+  EXPECT_EQ(a.byte_size(), b.byte_size());
+  const Bytes encoded = encode_relation(b);
+  EXPECT_EQ(encoded, encode_relation(a));
+  const Relation back = decode_relation(encoded, b.schema());
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_EQ(back.row(0).weight(), 1);
+}
+
 TEST(Wire, EmptyRelation) {
   const Relation r(mixed_schema());
   const Relation back = decode_relation(encode_relation(r), r.schema());
