@@ -2,8 +2,7 @@
 // Algorithm 1's truth-table expansion. Series: number of join relations
 // (2, 3) x number of *changed* relations k (1..n), DRA vs recompute.
 // The DRA evaluates 2^k − 1 differential terms; recompute pays the full
-// join each time. Also ablation A1: hash join vs nested-loop inside the
-// differential terms, and a k = 2 row whose deltas mix inserts, deletes and
+// join each time. Also a k = 2 row whose deltas mix inserts, deletes and
 // modifications.
 #include "bench_support.hpp"
 
@@ -21,7 +20,7 @@ void BM_DraJoin(benchmark::State& state) {
   core::DraStats stats;
   for (auto _ : state) {
     const core::DiffResult d =
-        core::dra_differential(s.query, s.db, s.t0, &metrics, {}, &stats);
+        core::dra_differential(s.query, s.db, s.t0, &metrics, &stats);
     benchmark::DoNotOptimize(&d);
   }
   export_metrics(state, metrics);
@@ -41,19 +40,6 @@ void BM_RecomputeJoin(benchmark::State& state) {
   export_metrics(state, metrics);
 }
 
-void BM_DraJoinNestedLoop(benchmark::State& state) {
-  // Ablation A1: forbid hash joins inside the differential terms.
-  const auto n_tables = static_cast<std::size_t>(state.range(0));
-  const auto changed = static_cast<std::size_t>(state.range(1));
-  const JoinScenario& s = join_scenario(n_tables, kRows, kUpdates, changed);
-  const core::DraOptions options{.use_hash_join = false};
-  for (auto _ : state) {
-    const core::DiffResult d = core::dra_differential(s.query, s.db, s.t0, nullptr,
-                                                      options);
-    benchmark::DoNotOptimize(&d);
-  }
-}
-
 void join_args(benchmark::internal::Benchmark* b) {
   b->Args({2, 1})->Args({2, 2})->Args({3, 1})->Args({3, 2})->Args({3, 3});
   b->Unit(benchmark::kMicrosecond);
@@ -61,8 +47,6 @@ void join_args(benchmark::internal::Benchmark* b) {
 
 BENCHMARK(BM_DraJoin)->Apply(join_args);
 BENCHMARK(BM_RecomputeJoin)->Apply(join_args);
-BENCHMARK(BM_DraJoinNestedLoop)->Args({2, 1})->Args({2, 2})
-    ->Unit(benchmark::kMicrosecond);
 
 /// Persistent-index extension: with a maintained index on the join column,
 /// unchanged-side inputs are *probed* rather than scanned, so the DRA's
@@ -74,7 +58,7 @@ void BM_DraJoinIndexed(benchmark::State& state) {
   core::DraStats stats;
   for (auto _ : state) {
     const core::DiffResult d =
-        core::dra_differential(s.query, s.db, s.t0, &metrics, {}, &stats);
+        core::dra_differential(s.query, s.db, s.t0, &metrics, &stats);
     benchmark::DoNotOptimize(&d);
   }
   export_metrics(state, metrics);
@@ -119,7 +103,7 @@ void BM_DraJoinIndexedSelective(benchmark::State& state) {
   std::size_t result_rows = 0;
   for (auto _ : state) {
     const core::DiffResult d =
-        core::dra_differential(query, s.db, s.t0, &metrics, {}, &stats);
+        core::dra_differential(query, s.db, s.t0, &metrics, &stats);
     result_rows = d.inserted.size() + d.deleted.size();
     benchmark::DoNotOptimize(&d);
   }
@@ -147,7 +131,7 @@ void BM_DraJoinMixedDeltas(benchmark::State& state) {
   std::size_t result_rows = 0;
   for (auto _ : state) {
     const core::DiffResult d =
-        core::dra_differential(s.query, s.db, s.t0, &metrics, {}, &stats);
+        core::dra_differential(s.query, s.db, s.t0, &metrics, &stats);
     result_rows = d.size();
     benchmark::DoNotOptimize(&d);
   }

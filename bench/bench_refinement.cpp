@@ -1,9 +1,9 @@
 // Experiment E8 (DESIGN.md): the Section 5.2 query-refinement claim —
 // updates that cannot affect the previous result ("irrelevant updates")
 // should cost (almost) nothing. We steer every update inside or outside
-// the query's selection range and compare the DRA with the irrelevance
-// check on vs off, and vs complete re-evaluation which always pays full
-// price.
+// the query's selection range and compare the DRA on irrelevant updates
+// (the check skips them), on relevant ones, and complete re-evaluation,
+// which always pays full price.
 #include <benchmark/benchmark.h>
 
 #include "bench_support.hpp"
@@ -58,22 +58,10 @@ void BM_DraIrrelevant_CheckOn(benchmark::State& state) {
   core::DraStats stats;
   for (auto _ : state) {
     const core::DiffResult d =
-        core::dra_differential(s.query, s.db, s.t0, nullptr, {}, &stats);
+        core::dra_differential(s.query, s.db, s.t0, nullptr, &stats);
     benchmark::DoNotOptimize(&d);
   }
   state.counters["skipped"] = stats.skipped_irrelevant ? 1.0 : 0.0;
-  state.counters["terms"] = static_cast<double>(stats.terms_evaluated);
-}
-
-void BM_DraIrrelevant_CheckOff(benchmark::State& state) {
-  const SteeredScenario& s = steered(false);
-  const core::DraOptions options{.irrelevance_check = false};
-  core::DraStats stats;
-  for (auto _ : state) {
-    const core::DiffResult d =
-        core::dra_differential(s.query, s.db, s.t0, nullptr, options, &stats);
-    benchmark::DoNotOptimize(&d);
-  }
   state.counters["terms"] = static_cast<double>(stats.terms_evaluated);
 }
 
@@ -96,7 +84,6 @@ void BM_RecomputeIrrelevant(benchmark::State& state) {
 }
 
 BENCHMARK(BM_DraIrrelevant_CheckOn)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_DraIrrelevant_CheckOff)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_DraRelevant)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_RecomputeIrrelevant)->Unit(benchmark::kMicrosecond);
 

@@ -49,7 +49,7 @@ int main() {
   // --- 4. Differential re-evaluation (the DRA, Algorithm 1) ------------
   cq::core::DraStats stats;
   const cq::core::DiffResult delta =
-      cq::core::dra_differential(query, db, t0, nullptr, {}, &stats);
+      cq::core::dra_differential(query, db, t0, nullptr, &stats);
   std::cout << "DRA result (" << stats.changed_relations << " changed relation, "
             << stats.terms_evaluated << " truth-table term, " << stats.delta_rows_read
             << " delta rows read):\n"

@@ -39,9 +39,11 @@ BASELINE = REPO / "scripts" / "coverage_baseline.json"
 
 # Directory groups the gate protects (repo-relative prefixes).
 #: Directory prefixes — or single files — whose line coverage is floored.
-#: src/delta guards the pin/GC contract; lock_order.cpp the deadlock
-#: checker the whole lock discipline leans on.
-GROUPS = ("src/query", "src/cq", "src/delta", "src/common/lock_order.cpp")
+#: src/delta guards the pin/GC contract; src/algebra the join and select
+#: operators every DRA term runs; lock_order.cpp the deadlock checker the
+#: whole lock discipline leans on.
+GROUPS = ("src/query", "src/cq", "src/delta", "src/algebra",
+          "src/common/lock_order.cpp")
 
 # Floor = recorded coverage minus this margin (percentage points): absorbs
 # gcov-vs-llvm-cov accounting differences and minor refactors.

@@ -339,8 +339,7 @@ void ContinualQuery::restore(const cat::Database& db, Timestamp last_execution,
   // Reconstruct the SPJ result as of last_execution: current state rolled
   // back by the inverted delta window (last_execution, now].
   Relation spj = recompute(core, db);
-  DiffResult window = dra_differential(core, db, last_execution, nullptr,
-                                       spec_.dra_options);
+  DiffResult window = dra_differential(core, db, last_execution);
   DiffResult inverted;
   inverted.inserted = std::move(window.deleted);
   inverted.deleted = std::move(window.inserted);
@@ -372,8 +371,7 @@ Notification ContinualQuery::execute(const cat::Database& db,
   // ---- ΔQ of the SPJ core ----
   DiffResult raw;
   if (spec_.strategy == ExecutionStrategy::kDra) {
-    raw = dra_differential(core, db, last_exec_, metrics, spec_.dra_options, stats,
-                           snapshots);
+    raw = dra_differential(core, db, last_exec_, metrics, stats, snapshots);
   } else {
     Relation current = recompute(core, db, metrics);
     raw = diff(*saved_result_, current);

@@ -50,7 +50,6 @@ struct CqSpec {
   StopPtr stop;  // nullptr = stop::never()
   DeliveryMode mode = DeliveryMode::kDifferential;
   ExecutionStrategy strategy = ExecutionStrategy::kDra;
-  DraOptions dra_options;
 
   /// Convenience: parse the query from SQL.
   static CqSpec from_sql(std::string name, const std::string& sql, TriggerPtr trigger,

@@ -23,39 +23,6 @@ using rel::Relation;
 
 namespace {
 
-Relation join_plain(const Relation& a, const Relation& b, const ExprPtr& predicate,
-                    bool use_hash, Metrics* metrics) {
-  if (a.empty() || b.empty()) {
-    return Relation(a.schema().concat(b.schema()));
-  }
-  if (use_hash) return alg::join(a, b, predicate, metrics);
-  // Nested-loop ablation: still push single-side conjuncts, but never build
-  // a hash table.
-  alg::JoinAnalysis analysis = alg::analyze_join(predicate, a.schema(), b.schema());
-  const Relation* l = &a;
-  const Relation* r = &b;
-  Relation lf;
-  Relation rf;
-  if (!analysis.left_only.empty()) {
-    lf = alg::select(a, *alg::conjoin(analysis.left_only), metrics);
-    l = &lf;
-  }
-  if (!analysis.right_only.empty()) {
-    rf = alg::select(b, *alg::conjoin(analysis.right_only), metrics);
-    r = &rf;
-  }
-  std::vector<ExprPtr> rest = analysis.residual;
-  for (const auto& [lc, rc] : analysis.equi_pairs) {
-    rest.push_back(alg::Expr::cmp(alg::CmpOp::kEq,
-                                  alg::Expr::col(a.schema().at(lc).name),
-                                  alg::Expr::col(b.schema().at(rc).name)));
-  }
-  const ExprPtr residual = alg::conjoin(rest);
-  return alg::nested_loop_join(*l, *r,
-                               alg::is_always_true(residual) ? nullptr : residual.get(),
-                               metrics);
-}
-
 /// ΔR as one weighted relation under `schema`: the insertions at +1
 /// followed by the deletions at −1, each kept only where `filter` holds.
 Relation bind_delta(const Relation& ins, const Relation& del, const rel::Schema& schema,
@@ -99,18 +66,16 @@ std::vector<std::string> canonical_names(const std::vector<rel::Schema>& schemas
 }  // namespace
 
 DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
-                            Timestamp since, Metrics* metrics, const DraOptions& options,
-                            DraStats* stats) {
+                            Timestamp since, Metrics* metrics, DraStats* stats) {
   std::vector<std::string> tables;
   tables.reserve(query.from.size());
   for (const auto& ref : query.from) tables.push_back(ref.table);
-  return dra_differential(query, db, since, metrics, options, stats,
-                          snapshot_deltas(db, tables));
+  return dra_differential(query, db, since, metrics, stats, snapshot_deltas(db, tables));
 }
 
 DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
-                            Timestamp since, Metrics* metrics, const DraOptions& options,
-                            DraStats* stats, const delta::SnapshotMap& snapshots) {
+                            Timestamp since, Metrics* metrics, DraStats* stats,
+                            const delta::SnapshotMap& snapshots) {
   query.validate();
   if (query.is_aggregate() || query.distinct) {
     throw common::InvalidArgument(
@@ -176,35 +141,23 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
   const qry::PlannedQuery planned = qry::plan(query, schemas, cards);
 
   // Filter the deltas by their table's pushed-down selection. Selection
-  // commutes with the substitution, so this both implements the Section 5.2
-  // irrelevance check and shrinks every term.
-  bool any_relevant = false;
+  // commutes with the substitution, so this both shrinks every term and
+  // implements the Section 5.2 irrelevance check: an update whose filtered
+  // delta is empty cannot affect the result, so its relation leaves the
+  // truth table, and when none remains the re-evaluation is skipped.
   for (auto i : changed) {
     const auto& [ins, del] = views[i];
     delta[i] = bind_delta(*ins, *del, schemas[i], planned.filter(i), metrics);
-    if (!delta[i].empty()) any_relevant = true;
   }
-  if (options.irrelevance_check) {
-    // Section 5.2 refinement: updates whose filtered delta is empty cannot
-    // affect the result — drop them from the truth table, and skip the
-    // whole re-evaluation when nothing relevant remains. Without the flag
-    // the DRA machinery below runs regardless (empty terms still enumerate
-    // and unchanged-side base states still get bound).
-    if (!any_relevant) {
-      st.skipped_irrelevant = true;
-      if (metrics != nullptr) metrics->add(common::metric::kDraSkippedIrrelevant, 1);
-      return result;
-    }
-    changed.erase(std::remove_if(changed.begin(), changed.end(),
-                                 [&](std::size_t i) { return delta[i].empty(); }),
-                  changed.end());
-    if (changed.empty()) {
-      st.skipped_irrelevant = true;
-      if (metrics != nullptr) metrics->add(common::metric::kDraSkippedIrrelevant, 1);
-      return result;
-    }
-    st.changed_relations = changed.size();
+  changed.erase(std::remove_if(changed.begin(), changed.end(),
+                               [&](std::size_t i) { return delta[i].empty(); }),
+                changed.end());
+  if (changed.empty()) {
+    st.skipped_irrelevant = true;
+    if (metrics != nullptr) metrics->add(common::metric::kDraSkippedIrrelevant, 1);
+    return result;
   }
+  st.changed_relations = changed.size();
 
   // Filtered, qualified current base state (all weight +1), built lazily
   // and shared by all terms. Position i is ever bound to its base only when
@@ -334,7 +287,6 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
     // its (weighted, filtered) delta; the rest bind the current base state,
     // materialized lazily only if a join step actually needs it.
     std::vector<const Relation*> bound(n, nullptr);
-    bool term_zero = false;
     std::size_t popcount = 0;
     for (std::size_t c = 0; c < k; ++c) {
       if ((bits >> c) & 1U) {
@@ -342,44 +294,34 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
         ++popcount;
       }
     }
-    for (std::size_t i = 0; i < n && !term_zero; ++i) {
-      if (bound[i] != nullptr) {
-        if (bound[i]->empty()) term_zero = true;
-      } else if (db.table(query.from[i].table).empty()) {
-        term_zero = true;
-      }
+    // Every bound delta is non-empty (the irrelevance check dropped the
+    // rest), so a term is zero exactly when a base it binds is empty.
+    bool term_zero = false;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (bound[i] == nullptr && db.table(query.from[i].table).empty()) term_zero = true;
     }
     if (term_zero) continue;
     ++st.terms_evaluated;
     obs::Span term_span("dra.term");
 
-    // Join order for this term: plan with the term's own cardinalities so
-    // the (tiny) delta sides are joined first.
-    std::vector<std::size_t> term_cards;
-    std::vector<const Relation*> term_samples(n, nullptr);
-    term_cards.reserve(n);
+    // Join order for this term: the execution's plan reordered with each
+    // bound delta's exact size, so the (tiny) delta sides are joined first.
+    std::vector<double> estimates = planned.scan_estimates;
     for (std::size_t i = 0; i < n; ++i) {
-      if (bound[i] != nullptr) {
-        term_cards.push_back(bound[i]->size());
-        // Delta sides are qualified and already filter-reduced; sampling
-        // them stops the planner double-counting the filter's selectivity.
-        term_samples[i] = bound[i];
-      } else {
-        term_cards.push_back(db.table(query.from[i].table).size());
-      }
+      if (bound[i] != nullptr) estimates[i] = static_cast<double>(bound[i]->size());
     }
-    const qry::PlannedQuery term_plan =
-        qry::plan(query, schemas, term_cards, &term_samples);
+    const std::vector<std::size_t> order =
+        qry::order_joins(planned.join_conjuncts, schemas, estimates);
 
-    std::vector<ExprPtr> pending = term_plan.join_conjuncts;
+    std::vector<ExprPtr> pending = planned.join_conjuncts;
 
     // The accumulator borrows its first input (a bound delta or the shared
     // base) and points at `owned` once a step has produced new rows.
-    const std::size_t first = term_plan.join_order[0];
+    const std::size_t first = order[0];
     const Relation* acc = bound[first] != nullptr ? bound[first] : &base_of(first);
     Relation owned;
     for (std::size_t step = 1; step < n && !acc->empty(); ++step) {
-      const std::size_t p = term_plan.join_order[step];
+      const std::size_t p = order[step];
       const rel::Schema combined = acc->schema().concat(schemas[p]);
       std::vector<ExprPtr> applicable;
       std::vector<ExprPtr> still_pending;
@@ -393,13 +335,12 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
       pending = std::move(still_pending);
 
       Relation via_index;
-      if (bound[p] == nullptr && options.use_persistent_indexes &&
-          try_index_join(*acc, p, applicable, via_index)) {
+      if (bound[p] == nullptr && try_index_join(*acc, p, applicable, via_index)) {
         owned = std::move(via_index);
       } else {
         const Relation& next = bound[p] != nullptr ? *bound[p] : base_of(p);
-        owned = join_plain(*acc, next, alg::conjoin(applicable), options.use_hash_join,
-                           metrics);
+        owned = next.empty() ? Relation(combined)
+                             : alg::join(*acc, next, alg::conjoin(applicable), metrics);
       }
       acc = &owned;
     }

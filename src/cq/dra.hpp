@@ -7,19 +7,22 @@
 //
 //   1. Identify the k operand relations changed since t_i (their ΔR has a
 //      non-empty net effect with ts > t_i — the timestamp predicate of
-//      Section 4.2 input (iv)).
+//      Section 4.2 input (iv)) and still non-empty under the relation's
+//      pushed-down selection (the Section 5.2 irrelevance check; with k = 0
+//      ΔQ is empty and nothing else runs).
 //   2. Enumerate the 2^k − 1 non-zero truth-table rows. Each row b yields
 //      one SPJ term in which ΔRi is substituted for Ri wherever b_i = 1.
 //      ΔRi binds as one weighted relation (rel::Tuple::weight): its
 //      insertions at +1 followed by its deletions at −1 (a modification
 //      contributes one of each).
 //   3. Evaluate each term differentially (DiffSelect/DiffProj/DiffJoin) with
-//      the plain operators, once per step: selections push below joins,
-//      joins multiply weights, and the term's rows take its overall sign
-//      (−1)^(|b|+1) because unchanged positions bind the *current* base
-//      state R'i = Ri ∪ ΔRi rather than the old state — algebraically
-//      equivalent to the paper's formulation, but it avoids materializing
-//      pre-update base snapshots.
+//      the plain operators, once per step, joining in an order picked from
+//      the execution's one plan with each delta at its exact size.
+//      Selections push below joins, joins multiply weights, and the term's
+//      rows take its overall sign (−1)^(|b|+1) because unchanged positions
+//      bind the *current* base state R'i = Ri ∪ ΔRi rather than the old
+//      state — algebraically equivalent to the paper's formulation, but it
+//      avoids materializing pre-update base snapshots.
 //   4. Append every term's rows to one weighted sum and consolidate it once
 //      (core::consolidate): net-positive rows are ΔQ insertions,
 //      net-negative rows are ΔQ deletions, each back at weight +1.
@@ -36,22 +39,6 @@
 #include "query/ast.hpp"
 
 namespace cq::core {
-
-struct DraOptions {
-  /// Section 5.2 refinement: first test each changed relation's delta
-  /// against that relation's pushed-down selection; when every filtered
-  /// delta is empty the whole re-evaluation is skipped.
-  bool irrelevance_check = true;
-
-  /// Use hash joins for equi-join conjuncts inside DiffJoin terms
-  /// (nested-loop otherwise). Ablation A1.
-  bool use_hash_join = true;
-
-  /// Probe persistent indexes (Database::create_index) for unchanged-side
-  /// join inputs instead of scanning/materializing the filtered base. Makes
-  /// differential join terms O(|Δ| · fanout) instead of O(|base|).
-  bool use_persistent_indexes = true;
-};
 
 /// Statistics of one DRA invocation (for benchmarks and EXPLAIN output).
 struct DraStats {
@@ -74,7 +61,6 @@ struct DraStats {
                                           const cat::Database& db,
                                           common::Timestamp since,
                                           common::Metrics* metrics,
-                                          const DraOptions& options,
                                           DraStats* stats,
                                           const delta::SnapshotMap& snapshots);
 
@@ -83,7 +69,6 @@ struct DraStats {
                                           const cat::Database& db,
                                           common::Timestamp since,
                                           common::Metrics* metrics = nullptr,
-                                          const DraOptions& options = {},
                                           DraStats* stats = nullptr);
 
 }  // namespace cq::core

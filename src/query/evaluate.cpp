@@ -150,26 +150,9 @@ Relation apply_order_by(const SpjQuery& query, Relation input) {
   return out;
 }
 
-Relation evaluate(const SpjQuery& query, const cat::Database& db, Metrics* metrics) {
-  // For aggregate queries the SPJ core must keep all columns the aggregates
-  // and group keys reference; the projection list is empty in that case.
-  if (query.is_aggregate()) {
-    SpjQuery core = query;
-    core.projection.clear();
-    core.distinct = false;
-    core.aggregates.clear();
-    core.group_by.clear();
-    core.having = nullptr;
-    core.order_by.clear();
-    Relation spj = evaluate_spj(core, db, metrics);
-    return apply_order_by(query, apply_aggregates(query, spj, metrics));
-  }
-  return apply_order_by(query, evaluate_spj(query, db, metrics));
-}
-
 namespace {
-/// The SPJ core evaluate() runs for an aggregate query: all columns kept,
-/// aggregation stripped (see evaluate()).
+/// The SPJ core evaluate() runs for an aggregate query: all columns kept
+/// (the aggregates and group keys may reference any), aggregation stripped.
 SpjQuery spj_core_of(const SpjQuery& query) {
   SpjQuery core = query;
   core.projection.clear();
@@ -180,7 +163,17 @@ SpjQuery spj_core_of(const SpjQuery& query) {
   core.order_by.clear();
   return core;
 }
+}  // namespace
 
+Relation evaluate(const SpjQuery& query, const cat::Database& db, Metrics* metrics) {
+  if (query.is_aggregate()) {
+    Relation spj = evaluate_spj(spj_core_of(query), db, metrics);
+    return apply_order_by(query, apply_aggregates(query, spj, metrics));
+  }
+  return apply_order_by(query, evaluate_spj(query, db, metrics));
+}
+
+namespace {
 std::string aggregate_label(const SpjQuery& query) {
   std::string label = "Aggregate [";
   for (std::size_t i = 0; i < query.aggregates.size(); ++i) {

@@ -1,15 +1,16 @@
-// Query evaluation. Two entry points:
+// Query evaluation: the complete re-evaluation of Section 4.2.
 //
-//   evaluate(query, db)       — run over a Database's base tables (the
-//                               "complete re-evaluation" of Section 4.2);
+//   evaluate(query, db)       — run over a Database's base tables;
 //   evaluate_spj_over(...)    — run the SPJ part over caller-supplied
 //                               relations bound positionally to the FROM
-//                               list. The DRA uses this to substitute
-//                               insertions(ΔR)/deletions(ΔR) for R in each
-//                               truth-table term (Algorithm 1, step 2).
+//                               list; evaluate() and EXPLAIN both run
+//                               through it.
 //
-// Both paths share one physical pipeline: qualify schemas, push selections
-// below joins, join in planner order, project, then aggregate.
+// The pipeline: qualify schemas, push selections below joins, join in
+// planner order, project, then aggregate. The DRA (cq/dra.cpp) does not run
+// its truth-table terms through here: it shares the planner's filters and
+// join order and the algebra operators, but walks each term itself so it
+// can bind weighted deltas and probe persistent indexes.
 #pragma once
 
 #include <vector>

@@ -31,6 +31,55 @@ double sampled_selectivity(const rel::Relation& input, const alg::ExprPtr& filte
 }
 }  // namespace
 
+std::vector<std::size_t> order_joins(const std::vector<ExprPtr>& join_conjuncts,
+                                     const std::vector<rel::Schema>& qualified_schemas,
+                                     const std::vector<double>& estimates) {
+  if (estimates.size() != qualified_schemas.size()) {
+    throw common::InvalidArgument("order_joins: schema/estimate count mismatch");
+  }
+  const std::size_t n = qualified_schemas.size();
+  auto connected = [&](std::size_t candidate, const std::vector<bool>& joined) {
+    // A conjunct connects `candidate` when it references candidate's schema
+    // and at least one already-joined schema.
+    for (const auto& c : join_conjuncts) {
+      bool touches_candidate = false;
+      bool touches_joined = false;
+      for (const auto& col : c->columns()) {
+        if (qualified_schemas[candidate].contains(col)) touches_candidate = true;
+        for (std::size_t j = 0; j < n; ++j) {
+          if (joined[j] && qualified_schemas[j].contains(col)) touches_joined = true;
+        }
+      }
+      if (touches_candidate && touches_joined) return true;
+    }
+    return false;
+  };
+
+  std::vector<bool> joined(n, false);
+  std::vector<std::size_t> order;
+  order.reserve(n);
+  for (std::size_t step = 0; step < n; ++step) {
+    std::size_t best = n;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (joined[i]) continue;
+      const bool i_connected = step > 0 && connected(i, joined);
+      if (best == n) {
+        best = i;
+        continue;
+      }
+      const bool best_connected = step > 0 && connected(best, joined);
+      if (i_connected != best_connected) {
+        if (i_connected) best = i;
+        continue;
+      }
+      if (estimates[i] < estimates[best]) best = i;
+    }
+    joined[best] = true;
+    order.push_back(best);
+  }
+  return order;
+}
+
 PlannedQuery plan(const SpjQuery& query, const std::vector<rel::Schema>& qualified_schemas,
                   const std::vector<std::size_t>& cardinalities,
                   const std::vector<const rel::Relation*>* samples) {
@@ -71,9 +120,8 @@ PlannedQuery plan(const SpjQuery& query, const std::vector<rel::Schema>& qualifi
                      });
   }
 
-  // 3. Join order: greedy by estimated post-filter cardinality, preferring
-  //    tables connected to the already-joined set by some join conjunct.
-  std::vector<double> estimate(n);
+  // 3. Join order: greedy by estimated post-filter cardinality.
+  out.scan_estimates.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     double e = static_cast<double>(cardinalities[i]);
     if (!out.table_filters[i].empty()) {
@@ -84,47 +132,9 @@ PlannedQuery plan(const SpjQuery& query, const std::vector<rel::Schema>& qualifi
         for (const auto& f : out.table_filters[i]) e *= alg::estimate_selectivity(f);
       }
     }
-    estimate[i] = e;
+    out.scan_estimates[i] = e;
   }
-  out.scan_estimates = estimate;
-
-  auto connected = [&](std::size_t candidate, const std::vector<bool>& joined) {
-    // A conjunct connects `candidate` when it references candidate's schema
-    // and at least one already-joined schema.
-    for (const auto& c : out.join_conjuncts) {
-      bool touches_candidate = false;
-      bool touches_joined = false;
-      for (const auto& col : c->columns()) {
-        if (qualified_schemas[candidate].contains(col)) touches_candidate = true;
-        for (std::size_t j = 0; j < n; ++j) {
-          if (joined[j] && qualified_schemas[j].contains(col)) touches_joined = true;
-        }
-      }
-      if (touches_candidate && touches_joined) return true;
-    }
-    return false;
-  };
-
-  std::vector<bool> joined(n, false);
-  for (std::size_t step = 0; step < n; ++step) {
-    std::size_t best = n;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (joined[i]) continue;
-      const bool i_connected = step > 0 && connected(i, joined);
-      if (best == n) {
-        best = i;
-        continue;
-      }
-      const bool best_connected = step > 0 && connected(best, joined);
-      if (i_connected != best_connected) {
-        if (i_connected) best = i;
-        continue;
-      }
-      if (estimate[i] < estimate[best]) best = i;
-    }
-    joined[best] = true;
-    out.join_order.push_back(best);
-  }
+  out.join_order = order_joins(out.join_conjuncts, qualified_schemas, out.scan_estimates);
   return out;
 }
 

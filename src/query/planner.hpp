@@ -89,6 +89,14 @@ struct SpjExecTrace {
                                 const std::vector<const rel::Relation*>* samples =
                                     nullptr);
 
+/// Step 3 of plan(): the greedy join order over per-FROM-entry row
+/// `estimates` — smallest first, preferring tables connected to the
+/// already-joined set by one of `join_conjuncts`, ties in FROM order. The
+/// DRA calls it once per truth-table term with each delta's exact size.
+[[nodiscard]] std::vector<std::size_t> order_joins(
+    const std::vector<alg::ExprPtr>& join_conjuncts,
+    const std::vector<rel::Schema>& qualified_schemas, const std::vector<double>& estimates);
+
 /// Number of rows the sampling estimator inspects per table.
 inline constexpr std::size_t kPlannerSampleSize = 100;
 

@@ -1,5 +1,7 @@
 #include "relation/index.hpp"
 
+#include <algorithm>
+
 #include "common/hash.hpp"
 
 namespace cq::rel {
@@ -31,7 +33,12 @@ std::vector<Value> HashIndex::extract(const Tuple& t, const std::vector<std::siz
 HashIndex::HashIndex(const std::vector<Tuple>& rows, std::vector<std::size_t> key_columns)
     : key_columns_(std::move(key_columns)) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    buckets_[extract(rows[i], key_columns_)].push_back(i);
+    std::vector<Value> key = extract(rows[i], key_columns_);
+    // `=` is never true on NULL, so a NULL-keyed row matches no probe.
+    if (std::any_of(key.begin(), key.end(), [](const Value& v) { return v.is_null(); })) {
+      continue;
+    }
+    buckets_[std::move(key)].push_back(i);
   }
 }
 

@@ -12,6 +12,8 @@
 namespace cq::rel {
 
 /// Immutable equi-lookup structure: key = values of the chosen columns.
+/// It follows SQL `=`, which is never true on NULL: a row whose key has a
+/// NULL column is not indexed, so no probe (a NULL one included) finds it.
 class HashIndex {
  public:
   /// Build over the given rows. `key_columns` are positions in each tuple.

@@ -21,14 +21,12 @@ namespace cq {
 namespace {
 
 using core::DiffResult;
-using core::DraOptions;
 using core::DraStats;
 
 /// Run one randomized round: build DB, snapshot result, update, and check
 /// DRA == Propagate.
 void check_equivalence(std::uint64_t seed, std::size_t base_rows, std::size_t updates,
-                       const testing::UpdateMix& mix, bool join_query,
-                       const DraOptions& options = {}) {
+                       const testing::UpdateMix& mix, bool join_query) {
   common::Rng rng(seed);
   cat::Database db;
   testing::make_stock_table(db, "S", base_rows, rng);
@@ -46,7 +44,7 @@ void check_equivalence(std::uint64_t seed, std::size_t base_rows, std::size_t up
 
   DraStats stats;
   const DiffResult via_dra =
-      core::dra_differential(query, db, t0, nullptr, options, &stats);
+      core::dra_differential(query, db, t0, nullptr, &stats);
   const DiffResult via_oracle = core::propagate(query, db, before);
 
   EXPECT_TRUE(via_dra.equivalent(via_oracle))
@@ -79,14 +77,12 @@ TEST(DraOracle, JoinMixedUpdates) {
   check_equivalence(5, 120, 60, {.modify_fraction = 0.35, .delete_fraction = 0.25}, true);
 }
 
-TEST(DraOracle, JoinNestedLoopAblation) {
-  check_equivalence(6, 80, 40, {.modify_fraction = 0.3, .delete_fraction = 0.3}, true,
-                    DraOptions{.use_hash_join = false});
+TEST(DraOracle, JoinSmallBaseModifyDeleteMix) {
+  check_equivalence(6, 80, 40, {.modify_fraction = 0.3, .delete_fraction = 0.3}, true);
 }
 
-TEST(DraOracle, NoIrrelevanceCheck) {
-  check_equivalence(7, 150, 70, {.modify_fraction = 0.3, .delete_fraction = 0.3}, false,
-                    DraOptions{.irrelevance_check = false});
+TEST(DraOracle, SelectionModifyDeleteMix) {
+  check_equivalence(7, 150, 70, {.modify_fraction = 0.3, .delete_fraction = 0.3}, false);
 }
 
 /// Parameterized sweep across seeds and mixes — the main property test.
@@ -145,7 +141,7 @@ TEST(DraOracle, ThreeWayJoinAllChanged) {
   testing::random_updates(db, "C", 30, mix, rng);
 
   DraStats stats;
-  const DiffResult via_dra = core::dra_differential(query, db, t0, nullptr, {}, &stats);
+  const DiffResult via_dra = core::dra_differential(query, db, t0, nullptr, &stats);
   const DiffResult via_oracle = core::propagate(query, db, before);
   EXPECT_TRUE(via_dra.equivalent(via_oracle))
       << " dra=" << via_dra.to_string() << " oracle=" << via_oracle.to_string();
@@ -180,7 +176,7 @@ TEST(DraOracle, NoUpdatesNoWork) {
   const common::Timestamp t0 = db.clock().now();
 
   DraStats stats;
-  const DiffResult d = core::dra_differential(query, db, t0, nullptr, {}, &stats);
+  const DiffResult d = core::dra_differential(query, db, t0, nullptr, &stats);
   EXPECT_TRUE(d.empty());
   EXPECT_EQ(stats.terms_evaluated, 0u);
   EXPECT_EQ(stats.changed_relations, 0u);
@@ -201,7 +197,7 @@ TEST(DraOracle, IrrelevantUpdatesSkipped) {
     db.insert("S", {rel::Value(1000 + i), rel::Value(5)});
   }
   DraStats stats;
-  const DiffResult d = core::dra_differential(query, db, t0, nullptr, {}, &stats);
+  const DiffResult d = core::dra_differential(query, db, t0, nullptr, &stats);
   EXPECT_TRUE(d.empty());
   EXPECT_TRUE(stats.skipped_irrelevant);
   EXPECT_EQ(stats.terms_evaluated, 0u);

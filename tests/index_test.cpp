@@ -147,38 +147,97 @@ TEST(DatabaseIndex, BuildsFromExistingRows) {
   EXPECT_EQ(index->probe({Value(2)}).size(), 5u);
 }
 
+/// One seeded DRA scenario, built twice from the same seed: with the
+/// scenario's indexes created before the updates (so commit-time index
+/// maintenance runs and join terms probe) and without any (so the same
+/// join terms scan the base). Both twins see identical rows, tids and
+/// commit timestamps.
+struct DraScenario {
+  cat::Database db;
+  qry::SpjQuery query;
+  Relation before;
+  common::Timestamp t0{};
+};
+
 /// The DRA with index probing must agree with Propagate, and must actually
 /// use the index (stats.index_probes > 0, no base scan counted).
 TEST(DraWithIndex, JoinTermsProbeInsteadOfScan) {
-  common::Rng rng(404);
-  cat::Database db;
-  testing::make_stock_table(db, "S", 300, rng);
-  testing::make_stock_table(db, "T", 300, rng);
-  db.create_index("T", "by_cat", {"category"});
-  db.create_index("S", "by_cat", {"category"});
-
-  const qry::SpjQuery query = testing::random_join_query({"S", "T"}, rng);
-  const Relation before = core::recompute(query, db);
-  const common::Timestamp t0 = db.clock().now();
-  testing::random_updates(db, "S", 40,
-                          {.modify_fraction = 0.3, .delete_fraction = 0.2}, rng);
+  auto build = [](DraScenario& s, bool indexed) {
+    common::Rng rng(404);
+    testing::make_stock_table(s.db, "S", 300, rng);
+    testing::make_stock_table(s.db, "T", 300, rng);
+    if (indexed) {
+      s.db.create_index("T", "by_cat", {"category"});
+      s.db.create_index("S", "by_cat", {"category"});
+    }
+    s.query = testing::random_join_query({"S", "T"}, rng);
+    s.before = core::recompute(s.query, s.db);
+    s.t0 = s.db.clock().now();
+    testing::random_updates(s.db, "S", 40,
+                            {.modify_fraction = 0.3, .delete_fraction = 0.2}, rng);
+  };
+  DraScenario indexed;
+  build(indexed, true);
+  DraScenario scan;
+  build(scan, false);
 
   common::Metrics with_index_metrics;
   core::DraStats stats;
   const core::DiffResult via_index = core::dra_differential(
-      query, db, t0, &with_index_metrics, {.use_persistent_indexes = true}, &stats);
-  const core::DiffResult via_oracle = core::propagate(query, db, before);
+      indexed.query, indexed.db, indexed.t0, &with_index_metrics, &stats);
+  const core::DiffResult via_oracle =
+      core::propagate(indexed.query, indexed.db, indexed.before);
   EXPECT_TRUE(via_index.equivalent(via_oracle));
   EXPECT_GT(stats.index_probes, 0u);
   // The unchanged side was never scanned or copied.
   EXPECT_EQ(with_index_metrics.get(common::metric::kBaseRowsScanned), 0);
 
-  // And disabling the option falls back to scan-based terms, same answer.
+  // Without the index the same terms scan the base, with the same answer.
   common::Metrics no_index_metrics;
-  const core::DiffResult via_scan = core::dra_differential(
-      query, db, t0, &no_index_metrics, {.use_persistent_indexes = false});
+  const core::DiffResult via_scan =
+      core::dra_differential(scan.query, scan.db, scan.t0, &no_index_metrics);
   EXPECT_TRUE(via_scan.equivalent(via_oracle));
   EXPECT_GT(no_index_metrics.get(common::metric::kBaseRowsScanned), 0);
+}
+
+/// NULL join keys: a persistent index equates NULL keys but the index path
+/// rechecks `=`, which is never true on NULL; the scan path and Propagate
+/// hash-join, whose build side must skip NULL keys to agree. Both relations
+/// change, so the delta-delta term runs too. Only the two `1` rows join.
+TEST(DraWithIndex, NullJoinKeysNeverMatch) {
+  auto build = [](DraScenario& s, bool indexed) {
+    s.db.create_table("S", Schema::of({{"k", ValueType::kInt}, {"v", ValueType::kInt}}));
+    s.db.create_table("T", Schema::of({{"k", ValueType::kInt}, {"w", ValueType::kInt}}));
+    if (indexed) {
+      s.db.create_index("S", "by_k", {"k"});
+      s.db.create_index("T", "by_k", {"k"});
+    }
+    s.db.insert("S", {Value(2), Value(5)});
+    s.db.insert("T", {Value::null(), Value(1)});
+    s.db.insert("T", {Value(1), Value(2)});
+    s.query = qry::parse_query("SELECT * FROM S s, T t WHERE s.k = t.k");
+    s.before = core::recompute(s.query, s.db);
+    s.t0 = s.db.clock().now();
+    s.db.insert("S", {Value::null(), Value(10)});
+    s.db.insert("S", {Value(1), Value(20)});
+    s.db.insert("T", {Value::null(), Value(3)});
+  };
+  DraScenario indexed;
+  build(indexed, true);
+  DraScenario scan;
+  build(scan, false);
+
+  core::DraStats stats;
+  const core::DiffResult via_index =
+      core::dra_differential(indexed.query, indexed.db, indexed.t0, nullptr, &stats);
+  const core::DiffResult via_scan = core::dra_differential(scan.query, scan.db, scan.t0);
+  const core::DiffResult via_oracle =
+      core::propagate(indexed.query, indexed.db, indexed.before);
+  EXPECT_GT(stats.index_probes, 0u);
+  EXPECT_TRUE(via_index.equivalent(via_oracle)) << via_index.to_string();
+  EXPECT_TRUE(via_scan.equivalent(via_oracle)) << via_scan.to_string();
+  EXPECT_EQ(via_oracle.inserted.size(), 1u) << via_oracle.to_string();
+  EXPECT_TRUE(via_oracle.deleted.empty());
 }
 
 /// Consolidated rows rendered with their lineage sets, sorted: equal when
@@ -208,23 +267,27 @@ TEST(DraWithIndex, SelectiveProbedFilterMatchesOracle) {
   for (const bool lineage : {false, true}) {
     SCOPED_TRACE(lineage ? "lineage on" : "lineage off");
     rel::prov::set_enabled(lineage);
-    common::Rng rng(909);
-    cat::Database db;
-    testing::make_stock_table(db, "S", 200, rng);
-    testing::make_stock_table(db, "T", 600, rng);
-    db.create_index("T", "by_cat", {"category"});
-
-    qry::SpjQuery query;
-    query.from = {{"S", "s"}, {"T", "t"}};
-    query.where = alg::Expr::logical_and(
-        alg::Expr::cmp(alg::CmpOp::kEq, alg::Expr::col("s.category"),
-                       alg::Expr::col("t.category")),
-        alg::Expr::col_cmp("t.price", alg::CmpOp::kLt, Value(60)));
-
-    const Relation before = core::recompute(query, db);
-    const common::Timestamp t0 = db.clock().now();
-    testing::random_updates(db, "S", 40,
-                            {.modify_fraction = 0.3, .delete_fraction = 0.2}, rng);
+    auto build = [](DraScenario& s, bool indexed) {
+      common::Rng rng(909);
+      testing::make_stock_table(s.db, "S", 200, rng);
+      testing::make_stock_table(s.db, "T", 600, rng);
+      if (indexed) s.db.create_index("T", "by_cat", {"category"});
+      s.query.from = {{"S", "s"}, {"T", "t"}};
+      s.query.where = alg::Expr::logical_and(
+          alg::Expr::cmp(alg::CmpOp::kEq, alg::Expr::col("s.category"),
+                         alg::Expr::col("t.category")),
+          alg::Expr::col_cmp("t.price", alg::CmpOp::kLt, Value(60)));
+      s.before = core::recompute(s.query, s.db);
+      s.t0 = s.db.clock().now();
+      testing::random_updates(s.db, "S", 40,
+                              {.modify_fraction = 0.3, .delete_fraction = 0.2}, rng);
+    };
+    DraScenario indexed;
+    build(indexed, true);
+    DraScenario scan;
+    build(scan, false);
+    const cat::Database& db = indexed.db;
+    const common::Timestamp t0 = indexed.t0;
 
     // Ground truth for the counter: every (S delta row, T row) pair with
     // equal category is one index match; few of them pass t.price < 60.
@@ -248,12 +311,12 @@ TEST(DraWithIndex, SelectiveProbedFilterMatchesOracle) {
 
     common::Metrics index_metrics;
     core::DraStats stats;
-    const core::DiffResult via_index = core::dra_differential(
-        query, db, t0, &index_metrics, {.use_persistent_indexes = true}, &stats);
+    const core::DiffResult via_index =
+        core::dra_differential(indexed.query, db, t0, &index_metrics, &stats);
     common::Metrics scan_metrics;
-    const core::DiffResult via_scan = core::dra_differential(
-        query, db, t0, &scan_metrics, {.use_persistent_indexes = false});
-    const core::DiffResult via_oracle = core::propagate(query, db, before);
+    const core::DiffResult via_scan =
+        core::dra_differential(scan.query, scan.db, scan.t0, &scan_metrics);
+    const core::DiffResult via_oracle = core::propagate(indexed.query, db, indexed.before);
 
     EXPECT_TRUE(via_index.equivalent(via_oracle));
     EXPECT_TRUE(via_scan.equivalent(via_oracle));
@@ -278,30 +341,34 @@ TEST(DraWithIndex, SelectiveProbedFilterMatchesOracle) {
 class IndexedDraSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(IndexedDraSweep, AgreesWithOracle) {
-  common::Rng rng(GetParam());
-  cat::Database db;
-  testing::make_stock_table(db, "A", 120, rng);
-  testing::make_stock_table(db, "B", 120, rng);
-  testing::make_stock_table(db, "C", 120, rng);
-  for (const char* t : {"A", "B", "C"}) db.create_index(t, "by_cat", {"category"});
-
   const bool three_way = GetParam() % 2 == 0;
-  const qry::SpjQuery query =
-      three_way ? testing::random_join_query({"A", "B", "C"}, rng)
-                : testing::random_join_query({"A", "B"}, rng);
-
-  const Relation before = core::recompute(query, db);
-  const common::Timestamp t0 = db.clock().now();
-  const testing::UpdateMix mix{.modify_fraction = 0.35, .delete_fraction = 0.25};
-  testing::random_updates(db, "A", 30, mix, rng);
-  testing::random_updates(db, "B", 20, mix, rng);
-  if (three_way) testing::random_updates(db, "C", 10, mix, rng);
+  auto build = [&](DraScenario& s, bool indexed) {
+    common::Rng rng(GetParam());
+    testing::make_stock_table(s.db, "A", 120, rng);
+    testing::make_stock_table(s.db, "B", 120, rng);
+    testing::make_stock_table(s.db, "C", 120, rng);
+    if (indexed) {
+      for (const char* t : {"A", "B", "C"}) s.db.create_index(t, "by_cat", {"category"});
+    }
+    s.query = three_way ? testing::random_join_query({"A", "B", "C"}, rng)
+                        : testing::random_join_query({"A", "B"}, rng);
+    s.before = core::recompute(s.query, s.db);
+    s.t0 = s.db.clock().now();
+    const testing::UpdateMix mix{.modify_fraction = 0.35, .delete_fraction = 0.25};
+    testing::random_updates(s.db, "A", 30, mix, rng);
+    testing::random_updates(s.db, "B", 20, mix, rng);
+    if (three_way) testing::random_updates(s.db, "C", 10, mix, rng);
+  };
+  DraScenario indexed;
+  build(indexed, true);
+  DraScenario scan;
+  build(scan, false);
 
   const core::DiffResult via_index =
-      core::dra_differential(query, db, t0, nullptr, {.use_persistent_indexes = true});
-  const core::DiffResult via_scan =
-      core::dra_differential(query, db, t0, nullptr, {.use_persistent_indexes = false});
-  const core::DiffResult via_oracle = core::propagate(query, db, before);
+      core::dra_differential(indexed.query, indexed.db, indexed.t0);
+  const core::DiffResult via_scan = core::dra_differential(scan.query, scan.db, scan.t0);
+  const core::DiffResult via_oracle =
+      core::propagate(indexed.query, indexed.db, indexed.before);
   EXPECT_TRUE(via_index.equivalent(via_oracle)) << "seed " << GetParam();
   EXPECT_TRUE(via_scan.equivalent(via_oracle)) << "seed " << GetParam();
 }

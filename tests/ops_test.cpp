@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/error.hpp"
 
 namespace cq::alg {
@@ -74,11 +76,38 @@ TEST(NestedLoopJoin, ThetaJoin) {
   EXPECT_EQ(out.size(), 3u);
 }
 
+/// One NULL key and one `1` key on each side: `=` is never true on NULL,
+/// so only the two `1` rows join.
+std::pair<Relation, Relation> null_keyed_pair() {
+  Relation a(Schema::of({{"a.k", ValueType::kInt}, {"a.x", ValueType::kString}}));
+  a.insert_values({Value::null(), Value("a-null")});
+  a.insert_values({Value(1), Value("a-one")});
+  Relation b(Schema::of({{"b.k", ValueType::kInt}, {"b.y", ValueType::kString}}));
+  b.insert_values({Value::null(), Value("b-null")});
+  b.insert_values({Value(1), Value("b-one")});
+  return {std::move(a), std::move(b)};
+}
+
 TEST(HashJoin, MatchesNestedLoop) {
-  const auto pred = Expr::cmp(CmpOp::kEq, Expr::col("p.dept"), Expr::col("d.id"));
-  const Relation nl = nested_loop_join(people(), depts(), pred.get());
-  const Relation hj = hash_join(people(), depts(), {{1, 0}}, nullptr);
-  EXPECT_TRUE(nl.equal_multiset(hj));
+  const auto [a, b] = null_keyed_pair();
+  struct Input {
+    Relation left;
+    Relation right;
+    std::size_t left_key;
+    std::size_t right_key;
+  };
+  for (const Input& in : {Input{people(), depts(), 1, 0}, Input{a, b, 0, 0}}) {
+    const auto pred =
+        Expr::cmp(CmpOp::kEq, Expr::col(in.left.schema().at(in.left_key).name),
+                  Expr::col(in.right.schema().at(in.right_key).name));
+    SCOPED_TRACE(pred->to_string());
+    const Relation nl = nested_loop_join(in.left, in.right, pred.get());
+    const Relation hj = hash_join(in.left, in.right, {{in.left_key, in.right_key}}, nullptr);
+    EXPECT_TRUE(nl.equal_multiset(hj));
+    EXPECT_TRUE(nl.equal_multiset(join(in.left, in.right, pred)));
+  }
+  const auto on_k = Expr::cmp(CmpOp::kEq, Expr::col("a.k"), Expr::col("b.k"));
+  EXPECT_EQ(nested_loop_join(a, b, on_k.get()).size(), 1u);
 }
 
 TEST(HashJoin, ResidualPredicate) {

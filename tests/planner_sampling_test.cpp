@@ -3,11 +3,17 @@
 // heuristic gets wrong on skewed data.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "algebra/ops.hpp"
 #include "catalog/transaction.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "query/evaluate.hpp"
 #include "query/parser.hpp"
 #include "query/planner.hpp"
+#include "testing/random_db.hpp"
 
 namespace cq::qry {
 namespace {
@@ -75,6 +81,65 @@ TEST(PlannerSampling, NullEntriesUseHeuristics) {
   const std::vector<const Relation*> samples = {nullptr};
   const PlannedQuery p = plan(q, schemas, {100}, &samples);
   EXPECT_EQ(p.table_filters[0].size(), 1u);
+}
+
+/// The DRA orders each truth-table term with order_joins over its one
+/// execution plan's scan estimates, a position bound to a delta taking the
+/// delta's exact size. That must be the order a full plan() of the term
+/// picks when each delta is its own sample: the delta is already filtered
+/// by the planner's filter, so its sampled selectivity is 1.
+TEST(PlannerSampling, ExactDeltaSizesReproduceSampledTermOrder) {
+  common::Rng rng(0x0de5);
+  std::size_t bound_deltas = 0;
+  for (int round = 0; round < 200; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const std::size_t n = 2 + rng.index(2);
+    cat::Database db;
+    std::vector<std::string> tables;
+    for (std::size_t i = 0; i < n; ++i) {
+      tables.push_back("R" + std::to_string(i));
+      testing::make_stock_table(db, tables.back(), 1 + rng.index(300), rng);
+    }
+    const SpjQuery q = testing::random_join_query(tables, rng);
+    std::vector<Relation> inputs;
+    std::vector<rel::Schema> schemas;
+    std::vector<std::size_t> cards;
+    for (std::size_t i = 0; i < n; ++i) {
+      inputs.push_back(qualified_copy(db.table(tables[i]), q.from[i]));
+      schemas.push_back(inputs.back().schema());
+      cards.push_back(inputs.back().size());
+    }
+    const PlannedQuery execution = plan(q, schemas, cards);
+
+    // Bind some positions to a "delta": a random slice of the table's rows,
+    // filtered as the DRA filters it.
+    std::vector<Relation> deltas(n);
+    std::vector<const Relation*> samples(n, nullptr);
+    std::vector<std::size_t> term_cards = cards;
+    std::vector<double> estimates = execution.scan_estimates;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!rng.chance(0.6)) continue;
+      Relation slice(schemas[i]);
+      for (const auto& row : inputs[i].rows()) {
+        if (rng.chance(0.3)) slice.append(row);
+      }
+      deltas[i] = alg::select(slice, *execution.filter(i));
+      if (deltas[i].empty()) continue;
+      samples[i] = &deltas[i];
+      term_cards[i] = deltas[i].size();
+      estimates[i] = static_cast<double>(deltas[i].size());
+      ++bound_deltas;
+    }
+    const PlannedQuery term = plan(q, schemas, term_cards, &samples);
+    EXPECT_EQ(order_joins(execution.join_conjuncts, schemas, estimates), term.join_order);
+  }
+  EXPECT_GT(bound_deltas, 100u);  // the comparison must cover real deltas
+}
+
+TEST(PlannerSampling, OrderJoinsEstimateCountMismatchThrows) {
+  const std::vector<rel::Schema> schemas = {rel::Schema::of({{"A.x", ValueType::kInt}})};
+  EXPECT_THROW(static_cast<void>(order_joins({}, schemas, {1.0, 2.0})),
+               common::InvalidArgument);
 }
 
 }  // namespace

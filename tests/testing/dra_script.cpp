@@ -388,9 +388,9 @@ DraScriptReport run_dra_oracle_script(const std::uint8_t* data, std::size_t size
     spec.trigger = random_trigger(in);
     if (in.index(4) == 0) spec.stop = core::stop::after_executions(2 + in.index(4));
     spec.mode = static_cast<core::DeliveryMode>(in.index(4));
-    spec.dra_options.irrelevance_check = in.flip();
-    spec.dra_options.use_hash_join = in.flip();
-    spec.dra_options.use_persistent_indexes = in.flip();
+    // Three bytes that select nothing: reading them keeps every checked-in
+    // corpus and regression input decoding to the same script.
+    for (int unused = 0; unused < 3; ++unused) (void)in.flip();
 
     core::CqManager dra_mgr(dra_db);
     core::CqManager oracle_mgr(oracle_db);
@@ -508,8 +508,7 @@ DraScriptReport run_dra_oracle_script(const std::uint8_t* data, std::size_t size
     // Direct Section 4.2 check, bypassing the CQ layer: the DRA's ΔQ over
     // the whole script must match Propagate's full recompute + diff.
     if (initial_full) {
-      const auto dra_delta = core::dra_differential(query, dra_db, install_ts, nullptr,
-                                                    spec.dra_options);
+      const auto dra_delta = core::dra_differential(query, dra_db, install_ts);
       const auto prop_delta = core::propagate(query, dra_db, *initial_full);
       if (!dra_delta.consolidated().equivalent(prop_delta.consolidated())) {
         return fail(report.commits,
