@@ -9,7 +9,7 @@
 #include "common/error.hpp"
 #include "cq/propagate.hpp"
 #include "query/parser.hpp"
-#include "query/planner.hpp"
+#include "query/evaluate.hpp"
 
 namespace cq::core {
 
@@ -91,29 +91,13 @@ bool ContinualQuery::should_stop(const cat::Database& db,
   return finished_ || spec_.stop->satisfied(context(db, snapshots));
 }
 
-namespace {
-
-/// `core` planned against the live catalog; fills `schemas` with each FROM
-/// entry's alias-qualified schema.
-qry::PlannedQuery plan_against(const qry::SpjQuery& core, const cat::Database& db,
-                               std::vector<rel::Schema>& schemas) {
-  std::vector<std::size_t> cards;
-  for (const auto& ref : core.from) {
-    schemas.push_back(qry::qualify(db.table(ref.table).schema(), ref));
-    cards.push_back(db.table(ref.table).size());
-  }
-  return qry::plan(core, schemas, cards);
-}
-
-}  // namespace
-
 ContinualQuery::Staleness ContinualQuery::staleness(const cat::Database& db) const {
   Staleness out;
   out.age = db.clock().now() - last_exec_;
 
   const qry::SpjQuery core = spj_core();
-  std::vector<rel::Schema> schemas;
-  const qry::PlannedQuery planned = plan_against(core, db, schemas);
+  const std::vector<rel::Schema> schemas = qry::from_schemas(core, db);
+  const qry::PlannedQuery planned = qry::plan_over(core, db, schemas, /*sample=*/false);
 
   for (std::size_t i = 0; i < core.from.size(); ++i) {
     const delta::DeltaSnapshot d(db.delta(core.from[i].table));
@@ -143,8 +127,8 @@ std::string ContinualQuery::explain(const cat::Database& db) const {
      << "\n";
 
   const qry::SpjQuery core = spj_core();
-  std::vector<rel::Schema> schemas;
-  const qry::PlannedQuery planned = plan_against(core, db, schemas);
+  const std::vector<rel::Schema> schemas = qry::from_schemas(core, db);
+  const qry::PlannedQuery planned = qry::plan_over(core, db, schemas, /*sample=*/false);
   os << "  " << planned.to_string(core);
 
   for (std::size_t i = 0; i < core.from.size(); ++i) {

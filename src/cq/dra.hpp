@@ -15,9 +15,10 @@
 //      ΔRi binds as one weighted relation (rel::Tuple::weight): its
 //      insertions at +1 followed by its deletions at −1 (a modification
 //      contributes one of each).
-//   3. Evaluate each term differentially (DiffSelect/DiffProj/DiffJoin) with
-//      the plain operators, once per step, joining in an order picked from
-//      the execution's one plan with each delta at its exact size.
+//   3. Evaluate each term differentially (DiffSelect/DiffProj/DiffJoin) on
+//      the one SPJ executor (qry::SpjExecutor, query/evaluate.hpp) that also
+//      runs recompute, the b = ∅ term, joining in an order picked from the
+//      execution's one plan with each delta at its exact size.
 //      Selections push below joins, joins multiply weights, and the term's
 //      rows take its overall sign (−1)^(|b|+1) because unchanged positions
 //      bind the *current* base state R'i = Ri ∪ ΔRi rather than the old

@@ -6,12 +6,6 @@ namespace cq::core {
 
 rel::Relation recompute(const qry::SpjQuery& query, const cat::Database& db,
                         common::Metrics* metrics) {
-  if (metrics != nullptr) {
-    for (const auto& ref : query.from) {
-      metrics->add(common::metric::kBaseRowsScanned,
-                   static_cast<std::int64_t>(db.table(ref.table).size()));
-    }
-  }
   return qry::evaluate_spj(query, db, metrics);
 }
 

@@ -1,5 +1,7 @@
 #include "query/evaluate.hpp"
 
+#include <algorithm>
+
 #include "algebra/ops.hpp"
 #include "algebra/predicate.hpp"
 #include "common/error.hpp"
@@ -10,114 +12,217 @@ using alg::ExprPtr;
 using common::Metrics;
 using rel::Relation;
 
-Relation qualified_copy(const Relation& input, const TableRef& ref) {
-  Relation out = input;
-  out.set_schema(qualify(input.schema(), ref));
-  return out;
+namespace {
+/// True when `schema`'s attributes are named `names`, in that order.
+bool named_in_order(const rel::Schema& schema, const std::vector<std::string>& names) {
+  if (schema.size() != names.size()) return false;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (schema.at(i).name != names[i]) return false;
+  }
+  return true;
+}
+}  // namespace
+
+std::vector<rel::Schema> from_schemas(const SpjQuery& query, const cat::Database& db) {
+  std::vector<rel::Schema> schemas;
+  schemas.reserve(query.from.size());
+  for (const auto& ref : query.from) schemas.push_back(qualify(db.table(ref.table).schema(), ref));
+  return schemas;
 }
 
-Relation evaluate_spj_over(const SpjQuery& query,
-                           const std::vector<const Relation*>& inputs,
-                           Metrics* metrics, SpjExecTrace* trace) {
-  query.validate();
-  if (inputs.size() != query.from.size()) {
-    throw common::InvalidArgument("evaluate_spj_over: expected " +
-                                  std::to_string(query.from.size()) + " inputs, got " +
-                                  std::to_string(inputs.size()));
-  }
-  const std::size_t n = inputs.size();
+rel::Schema joined_schema(const std::vector<rel::Schema>& schemas) {
+  rel::Schema joined;
+  for (const auto& s : schemas) joined = joined.concat(s);
+  return joined;
+}
 
-  std::vector<rel::Schema> schemas;
+PlannedQuery plan_over(const SpjQuery& query, const cat::Database& db,
+                       const std::vector<rel::Schema>& schemas, bool sample) {
   std::vector<std::size_t> cards;
-  schemas.reserve(n);
-  cards.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    schemas.push_back(inputs[i]->schema());
-    cards.push_back(inputs[i]->size());
+  std::vector<const Relation*> tables;
+  for (const auto& ref : query.from) {
+    tables.push_back(&db.table(ref.table));
+    cards.push_back(tables.back()->size());
   }
-  const PlannedQuery planned = plan(query, schemas, cards, &inputs);
+  return plan(query, schemas, cards, sample ? &tables : nullptr);
+}
+
+SpjExecutor::SpjExecutor(const SpjQuery& query, const cat::Database& db,
+                         const std::vector<rel::Schema>& schemas, const PlannedQuery& planned,
+                         Metrics* metrics)
+    : query_(query),
+      db_(db),
+      schemas_(schemas),
+      planned_(planned),
+      metrics_(metrics),
+      base_(query.from.size()) {
+  for (const auto& s : schemas) {
+    for (const auto& a : s.attributes()) from_columns_.push_back(a.name);
+  }
+}
+
+const Relation& SpjExecutor::base(std::size_t i) {
+  if (!base_[i]) {
+    const Relation& table = db_.table(query_.from[i].table);
+    const ExprPtr f = planned_.filter(i);
+    if (alg::is_always_true(f)) {
+      base_[i] = table;  // the qualified copy: only the schema is relabelled
+      base_[i]->set_schema(schemas_[i]);
+    } else {
+      base_[i] = alg::select(table, schemas_[i], *f, metrics_);
+    }
+    if (metrics_ != nullptr) {
+      metrics_->add(common::metric::kBaseRowsScanned, static_cast<std::int64_t>(table.size()));
+    }
+  }
+  return *base_[i];
+}
+
+// Probe position p's *persistent index* (when one covers an equi conjunct
+// against the accumulator) instead of materializing and hashing its
+// filtered base: O(|acc| · fanout) rather than O(|base|). Returns false
+// when no usable index exists.
+bool SpjExecutor::probe_index(const Relation& acc, std::size_t p,
+                              const std::vector<ExprPtr>& conjuncts, Relation& out) {
+  const ExprPtr on = alg::conjoin(conjuncts);
+  // (accumulator column, base column) pairs; positions in schemas_[p] equal
+  // positions in the base schema.
+  const auto pairs = alg::analyze_join(on, acc.schema(), schemas_[p]).equi_pairs;
+  if (pairs.empty()) return false;
+
+  // Prefer an index covering all equi columns, else any single one.
+  const std::string& table_name = query_.from[p].table;
+  std::vector<std::size_t> base_cols;
+  for (const auto& [ac, bc] : pairs) base_cols.push_back(bc);
+  const rel::MaintainedIndex* index = db_.index_on(table_name, base_cols);
+  for (std::size_t c = 0; index == nullptr && c < base_cols.size(); ++c) {
+    index = db_.index_on(table_name, {base_cols[c]});
+  }
+  if (index == nullptr) return false;
+
+  // Map each index key column to the accumulator column feeding it.
+  std::vector<std::size_t> acc_cols;
+  for (auto index_col : index->columns()) {
+    const auto pair = std::find_if(pairs.begin(), pairs.end(),
+                                   [&](const auto& ab) { return ab.second == index_col; });
+    if (pair == pairs.end()) return false;
+    acc_cols.push_back(pair->first);
+  }
+
+  const Relation& table = db_.table(table_name);
+  const rel::Schema combined = acc.schema().concat(schemas_[p]);
+  // The probed table's own pushed-down filter reads only the matched base
+  // row, so it runs first: a match it rejects never becomes a joined row.
+  // The join conjuncts run on the joined row, including the equi pairs the
+  // index matched, which keeps this path exactly `alg::join`'s semantics.
+  const ExprPtr base_filter = planned_.filter(p);
+  std::optional<alg::BoundExpr> keep_match;
+  if (!alg::is_always_true(base_filter)) keep_match.emplace(*base_filter, schemas_[p]);
+  std::optional<alg::BoundExpr> keep_joined;
+  if (!alg::is_always_true(on)) keep_joined.emplace(*on, combined);
+
+  std::vector<rel::Value> key(acc_cols.size());
+  std::int64_t matches = 0;
+  out = Relation(combined);
+  for (const auto& row : acc.rows()) {
+    for (std::size_t c = 0; c < acc_cols.size(); ++c) key[c] = row.at(acc_cols[c]);
+    for (const rel::TupleId tid : index->probe(key)) {
+      const rel::Tuple* match = table.find(tid);
+      CQ_ASSERT(match != nullptr);
+      ++matches;
+      if (keep_match && !keep_match->eval_bool(*match)) continue;
+      rel::Tuple joined = row.concat(*match);
+      if (!keep_joined || keep_joined->eval_bool(joined)) out.append(std::move(joined));
+    }
+  }
+  // Every index match counts as a comparison, kept or not.
+  if (metrics_ != nullptr) metrics_->add(common::metric::kTuplesCompared, matches);
+  index_probes_ += acc.size();
+  return true;
+}
+
+std::optional<Relation> SpjExecutor::run(const std::vector<Relation*>& deltas,
+                          const std::vector<std::size_t>& order,
+                          const std::vector<std::string>& columns, bool dedup,
+                          SpjExecTrace* trace) {
+  const std::size_t n = query_.from.size();
+  CQ_ASSERT(deltas.size() == n && order.size() == n);
   if (trace != nullptr) {
     *trace = SpjExecTrace{};
-    trace->plan = planned;
-    trace->input_rows = cards;
-    trace->scan_rows.resize(n);
+    for (const auto& ref : query_.from) trace->input_rows.push_back(db_.table(ref.table).size());
+    trace->scan_rows.assign(n, -1);
+  }
+  const bool binds_delta =
+      std::any_of(deltas.begin(), deltas.end(), [](const Relation* d) { return d != nullptr; });
+  auto input = [&](std::size_t i) -> const Relation& {
+    if (deltas[i] != nullptr) return *deltas[i];
+    const Relation& b = base(i);
+    if (trace != nullptr) trace->scan_rows[i] = static_cast<std::int64_t>(b.size());
+    return b;
+  };
+
+  // The accumulator borrows its first input (a bound delta or the shared
+  // base) and points at `owned` once a step has produced new rows.
+  const JoinSteps steps = join_steps(order, schemas_, planned_.join_conjuncts);
+  const Relation* acc = &input(order[0]);
+  Relation owned;
+  for (std::size_t step = 1; step < n && !acc->empty(); ++step) {
+    const std::size_t p = order[step];
+    const std::vector<ExprPtr>& on = steps.conjuncts[step - 1];
+    Relation joined;
+    if (deltas[p] != nullptr || !binds_delta || !probe_index(*acc, p, on, joined)) {
+      const Relation& next = input(p);
+      joined = next.empty() ? Relation(acc->schema().concat(schemas_[p]))
+                            : alg::join(*acc, next, alg::conjoin(on), metrics_);
+    }
+    owned = std::move(joined);
+    acc = &owned;
+    if (trace != nullptr) trace->join_rows.push_back(acc->size());
+  }
+  if (trace != nullptr) {
+    trace->join_rows.resize(n - 1, 0);
+    trace->has_residual = !steps.residual.empty();
+  }
+  if (acc->empty()) return std::nullopt;
+  if (!steps.residual.empty()) {
+    owned = alg::select(*acc, *alg::conjoin(steps.residual), metrics_);
+    acc = &owned;
+    if (trace != nullptr) trace->residual_rows = acc->size();
   }
 
-  // Select before join (Section 5.2): filter each input first.
-  std::vector<Relation> filtered(n);
-  std::vector<const Relation*> bound(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const ExprPtr f = planned.filter(i);
-    if (alg::is_always_true(f)) {
-      bound[i] = inputs[i];
-    } else {
-      filtered[i] = alg::select(*inputs[i], *f, metrics);
-      bound[i] = &filtered[i];
-    }
-    if (trace != nullptr) trace->scan_rows[i] = bound[i]->size();
+  if (dedup || !named_in_order(acc->schema(), columns)) {
+    owned = alg::project(*acc, columns, dedup, metrics_);
+    acc = &owned;
   }
-
-  // Join in planner order, applying join conjuncts as soon as they resolve.
-  std::vector<ExprPtr> pending = planned.join_conjuncts;
-  Relation acc = *bound[planned.join_order[0]];
-  for (std::size_t step = 1; step < n; ++step) {
-    const Relation& next = *bound[planned.join_order[step]];
-    const rel::Schema combined = acc.schema().concat(next.schema());
-    std::vector<ExprPtr> applicable;
-    std::vector<ExprPtr> still_pending;
-    for (const auto& c : pending) {
-      if (c->resolves_in(combined)) {
-        applicable.push_back(c);
-      } else {
-        still_pending.push_back(c);
-      }
-    }
-    pending = std::move(still_pending);
-    acc = alg::join(acc, next, alg::conjoin(applicable), metrics);
-    if (trace != nullptr) trace->join_rows.push_back(acc.size());
-  }
-  if (!pending.empty()) {
-    // Conjuncts that never resolved (e.g. reference unknown columns) —
-    // surface the error through expression evaluation.
-    acc = alg::select(acc, *alg::conjoin(pending), metrics);
-    if (trace != nullptr) {
-      trace->has_residual = true;
-      trace->residual_rows = acc.size();
-    }
-  }
-
-  // Projection.
-  if (!query.projection.empty()) {
-    acc = alg::project(acc, query.projection, query.distinct, metrics);
-  } else {
-    if (n > 1) {
-      // SELECT * over a join: the planner may have joined in any order, so
-      // restore the canonical FROM-order column layout (the DRA and the
-      // Propagate oracle rely on both producing the same schema).
-      std::vector<std::string> canonical;
-      for (const auto& s : schemas) {
-        for (const auto& a : s.attributes()) canonical.push_back(a.name);
-      }
-      acc = alg::project(acc, canonical, false, metrics);
-    }
-    if (query.distinct) acc = alg::distinct(acc);
-  }
-  if (trace != nullptr) trace->output_rows = acc.size();
-  return acc;
+  if (acc == &owned) return owned;
+  // Still borrowing means one position and no step: the rows are the
+  // input's own. A delta is the caller's to give up; a base is handed over
+  // and rebuilt should a later term read it.
+  const std::size_t first = order[0];
+  if (deltas[first] != nullptr) return std::move(*deltas[first]);
+  std::optional<Relation> rows = std::move(base_[first]);
+  base_[first].reset();
+  return rows;
 }
 
 Relation evaluate_spj(const SpjQuery& query, const cat::Database& db, Metrics* metrics,
                       SpjExecTrace* trace) {
   query.validate();
-  std::vector<Relation> qualified;
-  qualified.reserve(query.from.size());
-  for (const auto& ref : query.from) {
-    qualified.push_back(qualified_copy(db.table(ref.table), ref));
+  const std::vector<rel::Schema> schemas = from_schemas(query, db);
+  const PlannedQuery planned = plan_over(query, db, schemas, /*sample=*/true);
+  SpjExecutor exec(query, db, schemas, planned, metrics);
+  const bool project = !query.projection.empty();
+  const std::vector<std::string>& columns = project ? query.projection : exec.from_columns();
+  std::optional<Relation> rows = exec.run(std::vector<Relation*>(query.from.size()),
+                                          planned.join_order, columns,
+                                          project && query.distinct, trace);
+  Relation out = rows ? std::move(*rows) : Relation(joined_schema(schemas).project(columns));
+  if (query.distinct && !project) out = alg::distinct(out);
+  if (trace != nullptr) {
+    trace->plan = planned;
+    trace->output_rows = out.size();
   }
-  std::vector<const Relation*> inputs;
-  inputs.reserve(qualified.size());
-  for (const auto& r : qualified) inputs.push_back(&r);
-  return evaluate_spj_over(query, inputs, metrics, trace);
+  return out;
 }
 
 Relation apply_aggregates(const SpjQuery& query, const Relation& spj_result,
@@ -212,34 +317,18 @@ QueryExplain explain_query(const SpjQuery& query, const cat::Database& db,
   const bool aggregate = query.is_aggregate();
   const SpjQuery core = aggregate ? spj_core_of(query) : query;
 
-  std::vector<Relation> qualified;
-  qualified.reserve(core.from.size());
-  for (const auto& ref : core.from) {
-    qualified.push_back(qualified_copy(db.table(ref.table), ref));
-  }
-  std::vector<const Relation*> inputs;
-  std::vector<rel::Schema> schemas;
-  std::vector<std::size_t> cards;
-  inputs.reserve(qualified.size());
-  schemas.reserve(qualified.size());
-  cards.reserve(qualified.size());
-  for (const auto& r : qualified) {
-    inputs.push_back(&r);
-    schemas.push_back(r.schema());
-    cards.push_back(r.size());
-  }
-
+  const std::vector<rel::Schema> schemas = from_schemas(core, db);
   QueryExplain out;
   if (execute) {
     SpjExecTrace trace;
-    Relation spj = evaluate_spj_over(core, inputs, nullptr, &trace);
+    Relation spj = evaluate_spj(core, db, nullptr, &trace);
     out.plan = trace.plan;
     out.root = build_plan_tree(core, out.plan, schemas, &trace);
     out.result = aggregate ? apply_order_by(query, apply_aggregates(query, spj))
                            : apply_order_by(query, std::move(spj));
     out.executed = true;
   } else {
-    out.plan = plan(core, schemas, cards, &inputs);
+    out.plan = plan_over(core, db, schemas, /*sample=*/true);
     out.root = build_plan_tree(core, out.plan, schemas);
   }
 

@@ -1,18 +1,22 @@
-// Query evaluation: the complete re-evaluation of Section 4.2.
+// Query evaluation: the complete re-evaluation of Section 4.2, and the one
+// SPJ executor every evaluation runs through.
 //
-//   evaluate(query, db)       — run over a Database's base tables;
-//   evaluate_spj_over(...)    — run the SPJ part over caller-supplied
-//                               relations bound positionally to the FROM
-//                               list; evaluate() and EXPLAIN both run
-//                               through it.
+//   SpjExecutor           — joins one term: each FROM position bound to a
+//                           caller-supplied weighted delta or to the current
+//                           base table. The DRA (cq/dra.cpp) runs each of its
+//                           truth-table terms here;
+//   evaluate_spj(...)     — the term that binds no delta (b = ∅): recompute,
+//                           priming, restore and EXPLAIN ANALYZE;
+//   evaluate(query, db)   — evaluate_spj, then aggregation and ORDER BY.
 //
-// The pipeline: qualify schemas, push selections below joins, join in
-// planner order, project, then aggregate. The DRA (cq/dra.cpp) does not run
-// its truth-table terms through here: it shares the planner's filters and
-// join order and the algebra operators, but walks each term itself so it
-// can bind weighted deltas and probe persistent indexes.
+// The pipeline: qualify schemas, plan once, read each base under its
+// pushed-down filter, join in the given order (probing a persistent index
+// for a base position when the term binds a delta), apply the residual, and
+// lay the rows out in canonical FROM column order or the projection.
 #pragma once
 
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "catalog/database.hpp"
@@ -23,20 +27,75 @@
 
 namespace cq::qry {
 
-/// Copy `input` with its schema alias-qualified for `ref`.
-[[nodiscard]] rel::Relation qualified_copy(const rel::Relation& input,
-                                           const TableRef& ref);
+/// The alias-qualified schema of each FROM entry of `query` in `db`.
+[[nodiscard]] std::vector<rel::Schema> from_schemas(const SpjQuery& query,
+                                                    const cat::Database& db);
 
-/// Evaluate the SPJ core (joins + selection + projection/distinct; no
-/// aggregates) over `inputs`, which must be alias-qualified and bound
-/// positionally to query.from. When `trace` is non-null it is overwritten
-/// with the chosen plan and per-operator row counts (EXPLAIN support).
-[[nodiscard]] rel::Relation evaluate_spj_over(const SpjQuery& query,
-                                              const std::vector<const rel::Relation*>& inputs,
-                                              common::Metrics* metrics = nullptr,
-                                              SpjExecTrace* trace = nullptr);
+/// The schema of joined rows: every FROM entry's qualified schema, in FROM
+/// order (the canonical column order every term is laid out in).
+[[nodiscard]] rel::Schema joined_schema(const std::vector<rel::Schema>& schemas);
 
-/// Evaluate the SPJ core over the database's base tables.
+/// `query` planned against `db`'s current table sizes. With `sample`, the
+/// filter selectivities are measured on each table's leading rows.
+[[nodiscard]] PlannedQuery plan_over(const SpjQuery& query, const cat::Database& db,
+                                     const std::vector<rel::Schema>& schemas, bool sample);
+
+/// Executes the SPJ core of `query` over the current state of `db`, one
+/// term at a time. A term binds each FROM position either to a weighted
+/// delta the caller supplies (rows already under that position's filter)
+/// or to the current base table. A base is read under the plan's
+/// pushed-down filter, built on first use and shared by every term run
+/// through this executor; its read is what base_rows_scanned counts. A
+/// base position is probed through a covering persistent index instead
+/// exactly when the term binds at least one delta, so the accumulator it
+/// probes with stays small. `query`, `db`, `schemas` and `planned` must
+/// outlive the executor.
+class SpjExecutor {
+ public:
+  SpjExecutor(const SpjQuery& query, const cat::Database& db,
+              const std::vector<rel::Schema>& schemas, const PlannedQuery& planned,
+              common::Metrics* metrics);
+
+  /// Join one term's positions in `order`, apply the join conjuncts at
+  /// their join_steps and the residual after the last join, and return the
+  /// rows under `columns` (projected, and deduplicated with `dedup`, unless
+  /// they already are so). deltas[i] non-null binds position i to that
+  /// delta. A one-position term that needs no projection hands its input's
+  /// rows over: a delta is moved out, a base is rebuilt should a later term
+  /// read it. Returns nullopt, skipping the remaining steps, once the join
+  /// is empty. `trace` gets the per-operator row counts; its output_rows
+  /// and plan are the caller's.
+  [[nodiscard]] std::optional<rel::Relation> run(
+      const std::vector<rel::Relation*>& deltas, const std::vector<std::size_t>& order,
+      const std::vector<std::string>& columns, bool dedup = false,
+      SpjExecTrace* trace = nullptr);
+
+  /// The canonical FROM-order column names of the joined rows.
+  [[nodiscard]] const std::vector<std::string>& from_columns() const noexcept {
+    return from_columns_;
+  }
+  /// Accumulator rows probed into persistent indexes so far.
+  [[nodiscard]] std::size_t index_probes() const noexcept { return index_probes_; }
+
+ private:
+  const rel::Relation& base(std::size_t i);
+  bool probe_index(const rel::Relation& acc, std::size_t p,
+                   const std::vector<alg::ExprPtr>& conjuncts, rel::Relation& out);
+
+  const SpjQuery& query_;
+  const cat::Database& db_;
+  const std::vector<rel::Schema>& schemas_;
+  const PlannedQuery& planned_;
+  common::Metrics* metrics_;
+  std::vector<std::string> from_columns_;
+  std::vector<std::optional<rel::Relation>> base_;
+  std::size_t index_probes_ = 0;
+};
+
+/// Evaluate the SPJ core over the database's base tables: the term that
+/// binds no delta, planned with sampled filter selectivities. When `trace`
+/// is non-null it is overwritten with the chosen plan and per-operator row
+/// counts (EXPLAIN support).
 [[nodiscard]] rel::Relation evaluate_spj(const SpjQuery& query, const cat::Database& db,
                                          common::Metrics* metrics = nullptr,
                                          SpjExecTrace* trace = nullptr);

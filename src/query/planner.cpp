@@ -16,13 +16,15 @@ rel::Schema qualify(const rel::Schema& table_schema, const TableRef& ref) {
 }
 
 namespace {
-/// Fraction of up to kPlannerSampleSize leading rows satisfying `filter`,
-/// clamped away from 0 so downstream estimates never hit exact zero.
-double sampled_selectivity(const rel::Relation& input, const alg::ExprPtr& filter) {
+/// Fraction of up to kPlannerSampleSize leading rows of `input`, read under
+/// `schema`, satisfying `filter`; clamped away from 0 so downstream
+/// estimates never hit exact zero.
+double sampled_selectivity(const rel::Relation& input, const rel::Schema& schema,
+                           const alg::ExprPtr& filter) {
   const std::size_t n = std::min(input.size(), kPlannerSampleSize);
   if (n == 0) return 1.0;
   std::size_t hits = 0;
-  const alg::BoundExpr bound(*filter, input.schema());
+  const alg::BoundExpr bound(*filter, schema);
   for (std::size_t i = 0; i < n; ++i) {
     if (bound.eval_bool(input.row(i))) ++hits;
   }
@@ -80,6 +82,25 @@ std::vector<std::size_t> order_joins(const std::vector<ExprPtr>& join_conjuncts,
   return order;
 }
 
+JoinSteps join_steps(const std::vector<std::size_t>& order,
+                     const std::vector<rel::Schema>& qualified_schemas,
+                     const std::vector<ExprPtr>& join_conjuncts) {
+  JoinSteps out;
+  out.residual = join_conjuncts;
+  if (order.size() < 2) return out;
+  out.conjuncts.resize(order.size() - 1);
+  rel::Schema combined = qualified_schemas.at(order[0]);
+  for (std::size_t j = 0; j + 1 < order.size(); ++j) {
+    combined = combined.concat(qualified_schemas.at(order[j + 1]));
+    std::vector<ExprPtr> unresolved;
+    for (const auto& c : out.residual) {
+      (c->resolves_in(combined) ? out.conjuncts[j] : unresolved).push_back(c);
+    }
+    out.residual = std::move(unresolved);
+  }
+  return out;
+}
+
 PlannedQuery plan(const SpjQuery& query, const std::vector<rel::Schema>& qualified_schemas,
                   const std::vector<std::size_t>& cardinalities,
                   const std::vector<const rel::Relation*>* samples) {
@@ -127,7 +148,7 @@ PlannedQuery plan(const SpjQuery& query, const std::vector<rel::Schema>& qualifi
     if (!out.table_filters[i].empty()) {
       const alg::ExprPtr filter = alg::conjoin(out.table_filters[i]);
       if (samples != nullptr && (*samples)[i] != nullptr) {
-        e *= sampled_selectivity(*(*samples)[i], filter);
+        e *= sampled_selectivity(*(*samples)[i], qualified_schemas[i], filter);
       } else {
         for (const auto& f : out.table_filters[i]) e *= alg::estimate_selectivity(f);
       }
@@ -201,28 +222,19 @@ ExplainNode build_plan_tree(const SpjQuery& query, const PlannedQuery& planned,
       node.estimated_rows = planned.scan_estimates[idx];
     }
     if (trace != nullptr && idx < trace->scan_rows.size()) {
-      node.actual_rows = static_cast<std::int64_t>(trace->scan_rows[idx]);
+      node.actual_rows = trace->scan_rows[idx];
     }
     return node;
   };
 
-  // Left-deep spine: same walk as evaluate_spj_over, conjuncts applied at
-  // the first join whose combined schema resolves them.
+  // Left-deep spine: the executor's join steps.
+  const JoinSteps steps = join_steps(planned.join_order, qualified_schemas,
+                                     planned.join_conjuncts);
   ExplainNode acc = scan_node(planned.join_order[0]);
   double est = acc.estimated_rows;
-  rel::Schema combined = qualified_schemas[planned.join_order[0]];
-  std::vector<ExprPtr> pending = planned.join_conjuncts;
   for (std::size_t step = 1; step < n; ++step) {
-    const std::size_t idx = planned.join_order[step];
-    ExplainNode right = scan_node(idx);
-    combined = combined.concat(qualified_schemas[idx]);
-    std::vector<ExprPtr> applicable;
-    std::vector<ExprPtr> still_pending;
-    for (const auto& c : pending) {
-      (c->resolves_in(combined) ? applicable : still_pending).push_back(c);
-    }
-    pending = std::move(still_pending);
-
+    ExplainNode right = scan_node(planned.join_order[step]);
+    const std::vector<ExprPtr>& applicable = steps.conjuncts[step - 1];
     ExplainNode join;
     join.label = applicable.empty()
                      ? "Join (cross)"
@@ -241,12 +253,12 @@ ExplainNode build_plan_tree(const SpjQuery& query, const PlannedQuery& planned,
     acc = std::move(join);
   }
 
-  if (!pending.empty()) {
+  if (!steps.residual.empty()) {
     ExplainNode filter;
-    filter.label = "Filter [" + alg::conjoin(pending)->to_string() + "]";
+    filter.label = "Filter [" + alg::conjoin(steps.residual)->to_string() + "]";
     if (est >= 0) {
       double e = est;
-      for (const auto& c : pending) e *= alg::estimate_selectivity(c);
+      for (const auto& c : steps.residual) e *= alg::estimate_selectivity(c);
       filter.estimated_rows = e;
       est = e;
     }

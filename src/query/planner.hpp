@@ -49,18 +49,35 @@ struct ExplainNode {
   std::vector<ExplainNode> children;
 };
 
-/// Per-operator row counts observed while evaluate_spj_over ran a plan;
-/// indexes mirror PlannedQuery (FROM order for scans, join order for join
-/// steps). Filled when a trace pointer is passed to evaluate_spj_over.
+/// Per-operator row counts observed while qry::evaluate_spj ran a plan
+/// through the SPJ executor (evaluate.hpp); indexes mirror PlannedQuery
+/// (FROM order for scans, join order for join steps). Filled when a trace
+/// pointer is passed to evaluate_spj.
 struct SpjExecTrace {
   std::vector<std::size_t> input_rows;  // per FROM entry, before filters
-  std::vector<std::size_t> scan_rows;   // per FROM entry, after pushed filters
-  std::vector<std::size_t> join_rows;   // per join step (join_order[1..])
-  bool has_residual = false;            // a leftover-conjunct Filter ran
+  // Per FROM entry, after pushed filters; -1 when the executor never read
+  // the table because the join was already empty.
+  std::vector<std::int64_t> scan_rows;
+  std::vector<std::size_t> join_rows;  // per join step (join_order[1..]);
+                                       // 0 past an empty accumulator
+  bool has_residual = false;           // leftover conjuncts: a Filter follows the joins
   std::size_t residual_rows = 0;
   std::size_t output_rows = 0;  // after projection / distinct
   PlannedQuery plan;            // the plan actually used
 };
+
+/// The conjuncts each join step applies when the FROM entries are joined in
+/// `order`: a join conjunct goes to the first step whose combined schema
+/// resolves it, and what no step resolves is the residual, filtered after
+/// the last join. The executor and build_plan_tree both walk these.
+struct JoinSteps {
+  std::vector<std::vector<alg::ExprPtr>> conjuncts;  // [j]: the join of order[j + 1]
+  std::vector<alg::ExprPtr> residual;
+};
+
+[[nodiscard]] JoinSteps join_steps(const std::vector<std::size_t>& order,
+                                   const std::vector<rel::Schema>& qualified_schemas,
+                                   const std::vector<alg::ExprPtr>& join_conjuncts);
 
 /// Build the left-deep operator tree the planner chose: scans (with
 /// pushed-down filters) joined in plan order, topped by the projection.
@@ -79,10 +96,11 @@ struct SpjExecTrace {
 
 /// Plan `query` given the alias-qualified schema of each FROM table and an
 /// estimate of each table's current cardinality. When `samples` is
-/// provided (one relation per FROM entry, alias-qualified), per-table
-/// filter selectivities are *measured* on a bounded row sample instead of
-/// guessed from predicate shape, which materially improves join ordering
-/// on skewed data.
+/// provided (one relation per FROM entry, its rows read under that entry's
+/// qualified schema, e.g. the base table itself), per-table filter
+/// selectivities are *measured* on a bounded row sample instead of guessed
+/// from predicate shape, which materially improves join ordering on skewed
+/// data.
 [[nodiscard]] PlannedQuery plan(const SpjQuery& query,
                                 const std::vector<rel::Schema>& qualified_schemas,
                                 const std::vector<std::size_t>& cardinalities,

@@ -11,9 +11,17 @@
 
 namespace cq::rel {
 
-/// Immutable equi-lookup structure: key = values of the chosen columns.
-/// It follows SQL `=`, which is never true on NULL: a row whose key has a
-/// NULL column is not indexed, so no probe (a NULL one included) finds it.
+/// The key both index classes share: the values of the key columns. Both
+/// follow SQL `=`, which is never true on NULL: a row whose key has a NULL
+/// column is not indexed, so no probe (a NULL one included) finds it.
+using IndexKey = std::vector<Value>;
+struct IndexKeyHash {
+  std::size_t operator()(const IndexKey& key) const noexcept;
+};
+template <typename Entry>
+using IndexBuckets = std::unordered_map<IndexKey, std::vector<Entry>, IndexKeyHash>;
+
+/// Immutable equi-lookup structure over a relation snapshot.
 class HashIndex {
  public:
   /// Build over the given rows. `key_columns` are positions in each tuple.
@@ -31,25 +39,16 @@ class HashIndex {
   [[nodiscard]] std::size_t distinct_keys() const noexcept { return buckets_.size(); }
 
  private:
-  struct KeyHash {
-    std::size_t operator()(const std::vector<Value>& key) const noexcept;
-  };
-  struct KeyEq {
-    bool operator()(const std::vector<Value>& a, const std::vector<Value>& b) const noexcept;
-  };
-
-  static std::vector<Value> extract(const Tuple& t, const std::vector<std::size_t>& cols);
-
   std::vector<std::size_t> key_columns_;
-  std::unordered_map<std::vector<Value>, std::vector<std::size_t>, KeyHash, KeyEq> buckets_;
+  IndexBuckets<std::size_t> buckets_;
   static const std::vector<std::size_t> kEmpty;
 };
 
 /// A persistent equi-lookup index over a *base* table, maintained
 /// incrementally as the table changes (unlike HashIndex, which is built
-/// per query). The catalog updates it inside every commit; the DRA's
-/// differential joins probe it so a join term costs O(|ΔR| · fanout)
-/// instead of a full base scan.
+/// per query). NULL-keyed rows are left out, as in HashIndex. The catalog
+/// updates it inside every commit; the DRA's differential joins probe it
+/// so a join term costs O(|ΔR| · fanout) instead of a full base scan.
 class MaintainedIndex {
  public:
   /// `columns` are attribute positions in the base schema, in key order.
@@ -73,19 +72,11 @@ class MaintainedIndex {
   [[nodiscard]] std::size_t entries() const noexcept { return entries_; }
 
  private:
-  struct KeyHash {
-    std::size_t operator()(const std::vector<Value>& key) const noexcept;
-  };
-  struct KeyEq {
-    bool operator()(const std::vector<Value>& a, const std::vector<Value>& b) const noexcept;
-  };
-
-  [[nodiscard]] std::vector<Value> key_of(const Tuple& row) const;
   void add(const Tuple& row);
   void remove(const Tuple& row);
 
   std::vector<std::size_t> columns_;
-  std::unordered_map<std::vector<Value>, std::vector<TupleId>, KeyHash, KeyEq> buckets_;
+  IndexBuckets<TupleId> buckets_;
   std::size_t entries_ = 0;
   static const std::vector<TupleId> kNoTids;
 };

@@ -70,6 +70,43 @@ TEST(MaintainedIndex, CompositeKey) {
   EXPECT_TRUE(index.probe({Value(1), Value("a")}).empty());
 }
 
+/// `=` is never true on NULL, so a NULL-keyed row is not indexed: a NULL
+/// probe finds nothing, entries() leaves the row out, and erasing or
+/// updating it (into or out of a NULL key) keeps the index consistent.
+TEST(MaintainedIndex, NullKeyedRowsAreNotIndexed) {
+  Relation r(Schema::of({{"k", ValueType::kInt}, {"v", ValueType::kInt}}));
+  r.insert_values({Value(1), Value(10)});
+  r.insert_values({Value::null(), Value(20)});
+  MaintainedIndex index({0});
+  index.build(r);
+  EXPECT_EQ(index.entries(), 1u);
+  EXPECT_EQ(index.distinct_keys(), 1u);
+  EXPECT_TRUE(index.probe({Value::null()}).empty());
+
+  const Tuple null_row({Value::null(), Value(30)}, TupleId(7));
+  index.on_insert(null_row);
+  EXPECT_EQ(index.entries(), 1u);
+  EXPECT_TRUE(index.probe({Value::null()}).empty());
+  index.on_erase(null_row);
+  EXPECT_EQ(index.entries(), 1u);
+
+  // NULL -> 2 enters the index; 2 -> NULL leaves it again.
+  const Tuple keyed({Value(2), Value(30)}, TupleId(7));
+  index.on_update(null_row, keyed);
+  EXPECT_EQ(index.entries(), 2u);
+  ASSERT_EQ(index.probe({Value(2)}).size(), 1u);
+  index.on_update(keyed, null_row);
+  EXPECT_EQ(index.entries(), 1u);
+  EXPECT_TRUE(index.probe({Value(2)}).empty());
+  EXPECT_EQ(index.probe({Value(1)}).size(), 1u);
+
+  // Composite keys: one NULL column is enough to leave the row out.
+  MaintainedIndex composite({0, 1});
+  composite.on_insert(Tuple({Value(1), Value::null()}, TupleId(1)));
+  EXPECT_EQ(composite.entries(), 0u);
+  EXPECT_TRUE(composite.probe({Value(1), Value::null()}).empty());
+}
+
 struct DbFixture {
   cat::Database db;
   DbFixture() {
@@ -200,10 +237,10 @@ TEST(DraWithIndex, JoinTermsProbeInsteadOfScan) {
   EXPECT_GT(no_index_metrics.get(common::metric::kBaseRowsScanned), 0);
 }
 
-/// NULL join keys: a persistent index equates NULL keys but the index path
-/// rechecks `=`, which is never true on NULL; the scan path and Propagate
-/// hash-join, whose build side must skip NULL keys to agree. Both relations
-/// change, so the delta-delta term runs too. Only the two `1` rows join.
+/// NULL join keys: `=` is never true on NULL, so neither a persistent index
+/// (the index path) nor a hash join's build side (the scan path and
+/// Propagate) stores a NULL-keyed row. Both relations change, so the
+/// delta-delta term runs too. Only the two `1` rows join.
 TEST(DraWithIndex, NullJoinKeysNeverMatch) {
   auto build = [](DraScenario& s, bool indexed) {
     s.db.create_table("S", Schema::of({{"k", ValueType::kInt}, {"v", ValueType::kInt}}));

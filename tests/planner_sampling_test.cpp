@@ -42,14 +42,13 @@ TEST(PlannerSampling, MeasuredSelectivityOrdersJoins) {
   const SpjQuery q = parse_query(
       "SELECT * FROM A a, B b WHERE a.grp = b.grp AND a.flag = 1 AND b.flag = 1");
 
-  const Relation qa = qualified_copy(db.table("A"), q.from[0]);
-  const Relation qb = qualified_copy(db.table("B"), q.from[1]);
-  const std::vector<rel::Schema> schemas = {qa.schema(), qb.schema()};
-  const std::vector<std::size_t> cards = {qa.size(), qb.size()};
+  // The base tables are sampled in place, read under the qualified schemas.
+  const std::vector<rel::Schema> schemas = from_schemas(q, db);
+  const std::vector<std::size_t> cards = {db.table("A").size(), db.table("B").size()};
 
   // Without samples the heuristic sees two identical `=` filters: tie.
   // With samples, B's measured selectivity (~1%) puts it first.
-  const std::vector<const Relation*> samples = {&qa, &qb};
+  const std::vector<const Relation*> samples = {&db.table("A"), &db.table("B")};
   const PlannedQuery sampled = plan(q, schemas, cards, &samples);
   EXPECT_EQ(sampled.join_order[0], 1u) << "B (rare flag) should be joined first";
 }
@@ -68,9 +67,8 @@ TEST(PlannerSampling, EmptySampleFallsBackGracefully) {
   cat::Database db;
   db.create_table("A", rel::Schema::of({{"x", ValueType::kInt}}));
   const SpjQuery q = parse_query("SELECT * FROM A WHERE x > 5");
-  const Relation qa = qualified_copy(db.table("A"), q.from[0]);
-  const std::vector<const Relation*> samples = {&qa};
-  const PlannedQuery p = plan(q, {qa.schema()}, {0}, &samples);
+  const std::vector<const Relation*> samples = {&db.table("A")};
+  const PlannedQuery p = plan(q, from_schemas(q, db), {0}, &samples);
   EXPECT_EQ(p.join_order.size(), 1u);  // no crash on empty input
 }
 
@@ -101,14 +99,9 @@ TEST(PlannerSampling, ExactDeltaSizesReproduceSampledTermOrder) {
       testing::make_stock_table(db, tables.back(), 1 + rng.index(300), rng);
     }
     const SpjQuery q = testing::random_join_query(tables, rng);
-    std::vector<Relation> inputs;
-    std::vector<rel::Schema> schemas;
+    const std::vector<rel::Schema> schemas = from_schemas(q, db);
     std::vector<std::size_t> cards;
-    for (std::size_t i = 0; i < n; ++i) {
-      inputs.push_back(qualified_copy(db.table(tables[i]), q.from[i]));
-      schemas.push_back(inputs.back().schema());
-      cards.push_back(inputs.back().size());
-    }
+    for (const auto& t : tables) cards.push_back(db.table(t).size());
     const PlannedQuery execution = plan(q, schemas, cards);
 
     // Bind some positions to a "delta": a random slice of the table's rows,
@@ -120,7 +113,7 @@ TEST(PlannerSampling, ExactDeltaSizesReproduceSampledTermOrder) {
     for (std::size_t i = 0; i < n; ++i) {
       if (!rng.chance(0.6)) continue;
       Relation slice(schemas[i]);
-      for (const auto& row : inputs[i].rows()) {
+      for (const auto& row : db.table(tables[i]).rows()) {
         if (rng.chance(0.3)) slice.append(row);
       }
       deltas[i] = alg::select(slice, *execution.filter(i));
