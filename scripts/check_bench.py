@@ -9,16 +9,21 @@ median regressed by more than the threshold (default 25%) relative to its
 baseline.
 
 Medians below --min-us (default 100 microseconds) are skipped: at that
-scale scheduler noise dwarfs real regressions. Counters are compared
-exactly informationally (work counts should be deterministic) but never
-fail the check — they drift legitimately when workloads are retuned.
+scale scheduler noise dwarfs real regressions.
+
+Counters are work counts, a pure function of the bench's fixed script, so
+they are compared exactly: every counter a baseline records must have the
+same value in the current run (a missing one counts as a mismatch). A
+counter present only in the current run is reported and never fails. A
+change that moves a work count re-records the baseline and says why.
 
 Usage:
   scripts/check_bench.py [--baseline-dir bench/baselines] [--current-dir .]
                          [--threshold 0.25] [--min-us 100] [--strict]
 
-Exit status: 0 when no median regressed (or without --strict), 1 when a
-regression was found and --strict is set, 2 on usage errors.
+Exit status: 0 when no median regressed and no baseline counter moved (or
+without --strict), 1 when either happened and --strict is set, 2 on usage
+errors.
 """
 
 import argparse
@@ -64,6 +69,25 @@ def compare_one(name, baseline, current, threshold, min_us):
     return regressions
 
 
+def compare_counters(name, baseline, current):
+    """Returns a list of (counter, baseline_value, current_value or None)."""
+    mismatches = []
+    base_counters = baseline.get("counters", {})
+    cur_counters = current.get("counters", {})
+    for counter, base_value in sorted(base_counters.items()):
+        cur_value = cur_counters.get(counter)
+        if cur_value != base_value:
+            mismatches.append((counter, base_value, cur_value))
+            print(f"  {name}/counters/{counter}: {base_value} -> {cur_value}  << MOVED")
+    extra = sorted(set(cur_counters) - set(base_counters))
+    if extra:
+        print(f"  {name}/counters: not in the baseline (informational): "
+              + ", ".join(f"{c}={cur_counters[c]}" for c in extra))
+    if base_counters and not mismatches:
+        print(f"  {name}/counters: {len(base_counters)} equal to the baseline")
+    return mismatches
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--baseline-dir", default="bench/baselines")
@@ -88,6 +112,7 @@ def main():
         return 0
 
     all_regressions = []
+    all_moved = []
     checked = 0
     for fname in baselines:
         name = fname[: -len(".json")]
@@ -107,18 +132,26 @@ def main():
             name, baseline, current, args.threshold, args.min_us
         ):
             all_regressions.append((name, hist, base_p50, cur_p50, ratio))
+        for counter, base_value, cur_value in compare_counters(name, baseline, current):
+            all_moved.append((name, counter, base_value, cur_value))
 
     print()
-    if not all_regressions:
+    if not all_regressions and not all_moved:
         print(f"check_bench: OK — no median regressed >"
-              f"{args.threshold:.0%} across {checked} bench(es)")
+              f"{args.threshold:.0%} and no baseline counter moved across "
+              f"{checked} bench(es)")
         return 0
 
-    print(f"check_bench: {len(all_regressions)} regression(s) "
-          f">{args.threshold:.0%}:")
+    if all_regressions:
+        print(f"check_bench: {len(all_regressions)} regression(s) "
+              f">{args.threshold:.0%}:")
     for name, hist, base_p50, cur_p50, ratio in all_regressions:
         print(f"  {name}/{hist}: p50 {base_p50:.1f} -> {cur_p50:.1f} us "
               f"({ratio:.2f}x)")
+    if all_moved:
+        print(f"check_bench: {len(all_moved)} baseline counter(s) moved:")
+    for name, counter, base_value, cur_value in all_moved:
+        print(f"  {name}/counters/{counter}: {base_value} -> {cur_value}")
     return 1 if args.strict else 0
 
 

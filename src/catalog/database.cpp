@@ -263,6 +263,9 @@ void Database::restore_table(const std::string& name, rel::Relation base,
   if (!(base.schema() == log.base_schema())) {
     throw common::SchemaMismatch("Database::restore_table: base/log schema mismatch");
   }
+  // Decoded rows arrive through append; key them before the table serves
+  // tid lookups.
+  base.key_by_tid();
   Table table(base.schema());
   table.base = std::move(base);
   table.delta = std::move(log);

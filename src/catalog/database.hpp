@@ -53,7 +53,10 @@ struct Table {
   /// resource gauges never rescan the relation.
   std::size_t base_bytes = 0;
 
-  explicit Table(rel::Schema schema) : base(schema), delta(schema) {}
+  /// `base` starts keyed (rel::Relation::keyed_table): commits look rows up
+  /// by tid through its slot table.
+  explicit Table(rel::Schema schema)
+      : base(rel::Relation::keyed_table(schema)), delta(std::move(schema)) {}
 
   // Mutations that keep base, indexes, and byte accounting consistent
   // (used by Transaction).
@@ -146,8 +149,8 @@ class Database {
 
   /// Snapshot-restore machinery (persist::load_database): install `name`
   /// with the given base contents and differential log verbatim — no new
-  /// delta rows are generated. Throws if the table already exists or the
-  /// schemas disagree.
+  /// delta rows are generated. Keys `base` by tid. Throws if the table
+  /// already exists, the schemas disagree, or two base rows share a tid.
   void restore_table(const std::string& name, rel::Relation base,
                      delta::DeltaRelation log);
 

@@ -28,6 +28,7 @@ const char* name(Id id) noexcept {
     case kDraInvocations: return "dra_invocations";
     case kDraTermsEvaluated: return "dra_terms_evaluated";
     case kDraSkippedIrrelevant: return "dra_skipped_irrelevant";
+    case kPlansBuilt: return "plans_built";
     case kIdCount: break;
   }
   return "?";

@@ -48,6 +48,7 @@ enum Id : std::uint16_t {
   kDraInvocations,
   kDraTermsEvaluated,
   kDraSkippedIrrelevant,
+  kPlansBuilt,
   kIdCount  // sentinel; not a counter
 };
 

@@ -37,6 +37,24 @@ CqSpec CqSpec::from_sql(std::string name, const std::string& sql, TriggerPtr tri
   return spec;
 }
 
+namespace {
+/// The SPJ query the DRA maintains for `query`: ordering is presentation
+/// only, DISTINCT is lifted from the multiset result, and an aggregate's
+/// groups and HAVING are computed over the full joined rows.
+qry::SpjQuery spj_core_of(const qry::SpjQuery& query) {
+  qry::SpjQuery core = query;
+  core.distinct = false;
+  core.order_by.clear();
+  if (core.is_aggregate()) {
+    core.projection.clear();
+    core.aggregates.clear();
+    core.group_by.clear();
+    core.having = nullptr;
+  }
+  return core;
+}
+}  // namespace
+
 ContinualQuery::ContinualQuery(CqSpec spec, const cat::Database& db)
     : spec_(std::move(spec)), last_exec_(Timestamp::min()) {
   spec_.query.validate();
@@ -54,19 +72,7 @@ ContinualQuery::ContinualQuery(CqSpec spec, const cat::Database& db)
                                     "', which is not in the query's FROM list");
     }
   }
-}
-
-qry::SpjQuery ContinualQuery::spj_core() const {
-  qry::SpjQuery core = spec_.query;
-  core.distinct = false;
-  core.order_by.clear();  // ordering is presentation-only
-  if (core.is_aggregate()) {
-    core.projection.clear();  // aggregates read the full joined row
-    core.aggregates.clear();
-    core.group_by.clear();
-    core.having = nullptr;  // applied at delivery, over the aggregate output
-  }
-  return core;
+  program_ = qry::compile(spj_core_of(spec_.query), db);
 }
 
 rel::Relation ContinualQuery::delivered_aggregate() const {
@@ -95,22 +101,18 @@ ContinualQuery::Staleness ContinualQuery::staleness(const cat::Database& db) con
   Staleness out;
   out.age = db.clock().now() - last_exec_;
 
-  const qry::SpjQuery core = spj_core();
-  const std::vector<rel::Schema> schemas = qry::from_schemas(core, db);
-  const qry::PlannedQuery planned = qry::plan_over(core, db, schemas, /*sample=*/false);
-
-  for (std::size_t i = 0; i < core.from.size(); ++i) {
-    const delta::DeltaSnapshot d(db.delta(core.from[i].table));
+  for (std::size_t i = 0; i < relations_.size(); ++i) {
+    const delta::DeltaSnapshot d(db.delta(relations_[i]));
     if (!d.changed_since(last_exec_)) continue;
     const Relation& ins = d.insertions(last_exec_);
     const Relation& del = d.deletions(last_exec_);
     out.pending_changes += ins.size() + del.size();
-    const alg::ExprPtr f = planned.filter(i);
+    const alg::ExprPtr& f = program_.filters[i];
     if (alg::is_always_true(f)) {
       out.relevant_changes += ins.size() + del.size();
     } else {
-      out.relevant_changes += alg::select(ins, schemas[i], *f).size() +
-                              alg::select(del, schemas[i], *f).size();
+      out.relevant_changes += alg::select(ins, program_.schemas[i], *f).size() +
+                              alg::select(del, program_.schemas[i], *f).size();
     }
   }
   return out;
@@ -126,17 +128,14 @@ std::string ContinualQuery::explain(const cat::Database& db) const {
   os << "  executions: " << executions_ << ", last at t=" << last_exec_.to_string()
      << "\n";
 
-  const qry::SpjQuery core = spj_core();
-  const std::vector<rel::Schema> schemas = qry::from_schemas(core, db);
-  const qry::PlannedQuery planned = qry::plan_over(core, db, schemas, /*sample=*/false);
-  os << "  " << planned.to_string(core);
+  os << "  " << program_.plan_at(db).to_string(program_.query);
 
-  for (std::size_t i = 0; i < core.from.size(); ++i) {
-    const delta::DeltaSnapshot d(db.delta(core.from[i].table));
+  for (const auto& table : relations_) {
+    const delta::DeltaSnapshot d(db.delta(table));
     const std::size_t pending =
         d.changed_since(last_exec_) ? d.net_effect(last_exec_).size() : 0;
-    os << "  Δ" << core.from[i].table << ": " << pending << " pending net rows";
-    const auto names = db.index_names(core.from[i].table);
+    os << "  Δ" << table << ": " << pending << " pending net rows";
+    const auto names = db.index_names(table);
     if (!names.empty()) {
       os << " (indexes:";
       for (const auto& n : names) os << " " << n;
@@ -248,7 +247,7 @@ void ContinualQuery::load_state(std::shared_ptr<Relation> spj) {
 
 Notification ContinualQuery::prime_from_scratch(const cat::Database& db,
                                                 common::Metrics* metrics) {
-  auto spj = std::make_shared<Relation>(recompute(spj_core(), db, metrics));
+  auto spj = std::make_shared<Relation>(recompute(program_.query, db, metrics));
   if (metrics != nullptr) metrics->add(common::metric::kQueryExecutions, 1);
 
   Notification note;
@@ -303,15 +302,13 @@ void ContinualQuery::restore(const cat::Database& db, Timestamp last_execution,
     throw common::InvalidArgument("CQ '" + spec_.name +
                                   "': restore needs executions >= 1");
   }
-  const qry::SpjQuery core = spj_core();
-
   // If garbage collection already reclaimed part of the rollback window
   // (last_execution, now], the inverted differential below would silently
   // reconstruct the *wrong* previous result (the truncated prefix of the
   // window is simply missing from the log). Detect it via the truncation
   // watermark and re-prime on the next execution instead of rolling back.
-  for (const auto& ref : core.from) {
-    const auto reclaimed = db.delta(ref.table).truncated_through();
+  for (const auto& table : relations_) {
+    const auto reclaimed = db.delta(table).truncated_through();
     if (reclaimed && *reclaimed > last_execution) {
       invalidate_saved_result();
       executions_ = executions;
@@ -322,8 +319,9 @@ void ContinualQuery::restore(const cat::Database& db, Timestamp last_execution,
 
   // Reconstruct the SPJ result as of last_execution: current state rolled
   // back by the inverted delta window (last_execution, now].
-  Relation spj = recompute(core, db);
-  DiffResult window = dra_differential(core, db, last_execution);
+  Relation spj = recompute(program_.query, db);
+  DiffResult window = dra_differential(program_, db, last_execution, nullptr, nullptr,
+                                       snapshot_deltas(db, relations_));
   DiffResult inverted;
   inverted.inserted = std::move(window.deleted);
   inverted.deleted = std::move(window.inserted);
@@ -350,14 +348,12 @@ Notification ContinualQuery::execute(const cat::Database& db,
     ++executions_;
     return note;
   }
-  const qry::SpjQuery core = spj_core();
-
   // ---- ΔQ of the SPJ core ----
   DiffResult raw;
   if (spec_.strategy == ExecutionStrategy::kDra) {
-    raw = dra_differential(core, db, last_exec_, metrics, stats, snapshots);
+    raw = dra_differential(program_, db, last_exec_, metrics, stats, snapshots);
   } else {
-    Relation current = recompute(core, db, metrics);
+    Relation current = recompute(program_.query, db, metrics);
     raw = diff(*saved_result_, current);
     saved_result_ = std::make_shared<Relation>(std::move(current));
   }

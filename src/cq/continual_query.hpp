@@ -199,13 +199,13 @@ class ContinualQuery {
 
   /// Human-readable description of how the next execution would proceed:
   /// trigger, strategy, per-relation pending deltas, and the planner's
-  /// decomposition of the query (Section 5.2's refinement, made visible).
+  /// decomposition of the query (Section 5.2's refinement, made visible),
+  /// with the join order the current table sizes give.
   [[nodiscard]] std::string explain(const cat::Database& db) const;
 
  private:
   [[nodiscard]] TriggerContext context(const cat::Database& db,
                                        const delta::SnapshotMap& snapshots) const;
-  [[nodiscard]] qry::SpjQuery spj_core() const;
   /// The aggregate relation as the user sees it (HAVING applied).
   [[nodiscard]] rel::Relation delivered_aggregate() const;
   /// Rebuild the per-mode state (aggregate accumulators, DISTINCT counts,
@@ -222,6 +222,10 @@ class ContinualQuery {
   [[nodiscard]] bool needs_reprime() const noexcept;
 
   CqSpec spec_;
+  /// The SPJ core (aggregation, DISTINCT and ORDER BY stripped), compiled
+  /// once in the constructor. Immutable afterwards, so const readers on
+  /// other threads (staleness, explain) need no lock.
+  qry::SpjProgram program_;
   std::vector<std::string> relations_;
   common::Timestamp last_exec_;
   std::uint64_t executions_ = 0;

@@ -50,16 +50,17 @@ Relation bind_delta(const Relation& ins, const Relation& del, const rel::Schema&
 
 DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
                             Timestamp since, Metrics* metrics, DraStats* stats) {
+  const qry::SpjProgram program = qry::compile(query, db);
   std::vector<std::string> tables;
   tables.reserve(query.from.size());
   for (const auto& ref : query.from) tables.push_back(ref.table);
-  return dra_differential(query, db, since, metrics, stats, snapshot_deltas(db, tables));
+  return dra_differential(program, db, since, metrics, stats, snapshot_deltas(db, tables));
 }
 
-DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
+DiffResult dra_differential(const qry::SpjProgram& program, const cat::Database& db,
                             Timestamp since, Metrics* metrics, DraStats* stats,
                             const delta::SnapshotMap& snapshots) {
-  query.validate();
+  const qry::SpjQuery& query = program.query;
   if (query.is_aggregate() || query.distinct) {
     throw common::InvalidArgument(
         "dra_differential handles the SPJ core only; strip aggregates/DISTINCT "
@@ -77,17 +78,9 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
   obs::Span span("dra.differential", dra_hist);
   if (metrics != nullptr) metrics->add(common::metric::kDraInvocations, 1);
 
-  // ---- bind inputs: current base + signed delta per FROM entry ----
-  const std::vector<rel::Schema> schemas = qry::from_schemas(query, db);
-
-  // Output schema for (possibly empty) results.
-  const rel::Schema joined_schema = qry::joined_schema(schemas);
-  const rel::Schema out_schema =
-      query.projection.empty() ? joined_schema : joined_schema.project(query.projection);
-
   DiffResult result;
-  result.inserted = Relation(out_schema);
-  result.deleted = Relation(out_schema);
+  result.inserted = Relation(program.output_schema);
+  result.deleted = Relation(program.output_schema);
 
   std::vector<Relation> delta(n);     // filtered, qualified, weighted ΔRi
   std::vector<std::size_t> changed;   // indexes of changed FROM entries
@@ -111,9 +104,6 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
   st.changed_relations = changed.size();
   if (changed.empty()) return result;
 
-  // ---- plan once: per-table filters + join conjuncts (Section 5.2) ----
-  const qry::PlannedQuery planned = qry::plan_over(query, db, schemas, /*sample=*/false);
-
   // Filter the deltas by their table's pushed-down selection. Selection
   // commutes with the substitution, so this both shrinks every term and
   // implements the Section 5.2 irrelevance check: an update whose filtered
@@ -121,7 +111,7 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
   // truth table, and when none remains the re-evaluation is skipped.
   for (auto i : changed) {
     const auto& [ins, del] = views[i];
-    delta[i] = bind_delta(*ins, *del, schemas[i], planned.filter(i), metrics);
+    delta[i] = bind_delta(*ins, *del, program.schemas[i], program.filters[i], metrics);
   }
   changed.erase(std::remove_if(changed.begin(), changed.end(),
                                [&](std::size_t i) { return delta[i].empty(); }),
@@ -142,11 +132,18 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
   // never touches the base at all — the heart of the paper's efficiency
   // claim.
   const std::size_t k = changed.size();
-  qry::SpjExecutor exec(query, db, schemas, planned, metrics);
+  qry::SpjExecutor exec(program, db, metrics);
+  // Each table's estimated post-filter size at its current cardinality; a
+  // term replaces a bound position's with its delta's exact size.
+  const std::vector<double> scan_estimates = program.scan_estimates(db);
+  std::vector<bool> base_empty(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    base_empty[i] = db.table(query.from[i].table).empty();
+  }
 
   // ---- truth table: one weighted SPJ term per non-zero row (step 2) ----
   if (k > 20) throw common::InvalidArgument("dra: too many changed relations");
-  Relation sum(joined_schema);  // every term's rows, term sign multiplied in
+  Relation sum(program.joined);  // every term's rows, term sign multiplied in
   std::vector<Relation*> bound(n);
   for (std::size_t bits = 1; bits < (static_cast<std::size_t>(1) << k); ++bits) {
     // Bind each FROM position for this term: a changed position in b gets
@@ -163,24 +160,24 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
     // rest), so a term is zero exactly when a base it binds is empty.
     bool term_zero = false;
     for (std::size_t i = 0; i < n; ++i) {
-      if (bound[i] == nullptr && db.table(query.from[i].table).empty()) term_zero = true;
+      if (bound[i] == nullptr && base_empty[i]) term_zero = true;
     }
     if (term_zero) continue;
     ++st.terms_evaluated;
     obs::Span term_span("dra.term");
 
-    // Join order for this term: the execution's plan reordered with each
-    // bound delta's exact size, so the (tiny) delta sides are joined first.
-    std::vector<double> estimates = planned.scan_estimates;
+    // Join order for this term: the scan estimates with each bound delta at
+    // its exact size, so the (tiny) delta sides are joined first.
+    std::vector<double> estimates = scan_estimates;
     for (std::size_t i = 0; i < n; ++i) {
       if (bound[i] != nullptr) estimates[i] = static_cast<double>(bound[i]->size());
     }
     const std::vector<std::size_t> order =
-        qry::order_joins(planned.join_conjuncts, schemas, estimates);
+        qry::order_joins(program.plan.join_conjuncts, program.schemas, estimates);
 
     // Canonical column order so all terms line up. A single-relation CQ's
     // one term hands over its delta, which no other term reads.
-    std::optional<Relation> rows = exec.run(bound, order, exec.from_columns());
+    std::optional<Relation> rows = exec.run(bound, order, program.from_columns);
     if (!rows) continue;
 
     // Term sign: unchanged positions bind the *current* state, so the term

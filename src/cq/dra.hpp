@@ -17,8 +17,11 @@
 //      contributes one of each).
 //   3. Evaluate each term differentially (DiffSelect/DiffProj/DiffJoin) on
 //      the one SPJ executor (qry::SpjExecutor, query/evaluate.hpp) that also
-//      runs recompute, the b = ∅ term, joining in an order picked from the
-//      execution's one plan with each delta at its exact size.
+//      runs recompute, the b = ∅ term. A continual query compiles its
+//      query once (qry::SpjProgram: schemas, pushed-down filters, join
+//      conjuncts, selectivity factors), so an execution only reads table
+//      sizes, orders each term's joins with each delta at its exact size
+//      and picks indexes.
 //      Selections push below joins, joins multiply weights, and the term's
 //      rows take its overall sign (−1)^(|b|+1) because unchanged positions
 //      bind the *current* base state R'i = Ri ∪ ΔRi rather than the old
@@ -38,6 +41,7 @@
 #include "cq/diff.hpp"
 #include "delta/delta_snapshot.hpp"
 #include "query/ast.hpp"
+#include "query/evaluate.hpp"
 
 namespace cq::core {
 
@@ -50,22 +54,24 @@ struct DraStats {
   bool skipped_irrelevant = false;    // irrelevance check short-circuited
 };
 
-/// Compute ΔQ of the SPJ core of `query` for all updates committed after
-/// `since`. Aggregates/DISTINCT must be handled by the caller (the
-/// ContinualQuery layer maintains them incrementally on top of ΔQ).
+/// Compute ΔQ of the compiled SPJ core `program` for all updates
+/// committed after `since`. Aggregates/DISTINCT must be handled by the
+/// caller (the ContinualQuery layer maintains them incrementally on top of
+/// ΔQ). Does only data-dependent work: no planning, no schema building.
 ///
 /// Delta reads go through `snapshots`, which must cover every FROM table
 /// (the CQ manager builds one map per dispatch). Base-table reads always
 /// hit the live catalog — commits are serialized with dispatch, so the
 /// base state cannot move underneath an evaluation.
-[[nodiscard]] DiffResult dra_differential(const qry::SpjQuery& query,
+[[nodiscard]] DiffResult dra_differential(const qry::SpjProgram& program,
                                           const cat::Database& db,
                                           common::Timestamp since,
                                           common::Metrics* metrics,
                                           DraStats* stats,
                                           const delta::SnapshotMap& snapshots);
 
-/// The same over a fresh snapshot of the query's FROM tables.
+/// The same for `query`, compiled for this one call, over a fresh snapshot
+/// of its FROM tables.
 [[nodiscard]] DiffResult dra_differential(const qry::SpjQuery& query,
                                           const cat::Database& db,
                                           common::Timestamp since,

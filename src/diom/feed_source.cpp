@@ -7,7 +7,7 @@ FeedSource::FeedSource(std::string name, rel::Schema schema,
     : name_(std::move(name)),
       schema_(std::move(schema)),
       clock_(clock ? std::move(clock) : std::make_shared<common::VirtualClock>()),
-      contents_(schema_),
+      contents_(rel::Relation::keyed_table(schema_)),
       log_(schema_) {}
 
 rel::TupleId FeedSource::publish(std::vector<rel::Value> values) {

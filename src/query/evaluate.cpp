@@ -30,46 +30,55 @@ std::vector<rel::Schema> from_schemas(const SpjQuery& query, const cat::Database
   return schemas;
 }
 
-rel::Schema joined_schema(const std::vector<rel::Schema>& schemas) {
-  rel::Schema joined;
-  for (const auto& s : schemas) joined = joined.concat(s);
-  return joined;
-}
+SpjProgram compile(const SpjQuery& query, const cat::Database& db, bool sample,
+                   Metrics* metrics) {
+  query.validate();
+  SpjProgram p;
+  p.query = query;
+  p.schemas = from_schemas(query, db);
+  for (const auto& s : p.schemas) p.joined = p.joined.concat(s);
+  p.output_schema = query.projection.empty() ? p.joined
+                                             : p.joined.project(query.projection);
+  for (const auto& a : p.joined.attributes()) p.from_columns.push_back(a.name);
 
-PlannedQuery plan_over(const SpjQuery& query, const cat::Database& db,
-                       const std::vector<rel::Schema>& schemas, bool sample) {
   std::vector<std::size_t> cards;
   std::vector<const Relation*> tables;
   for (const auto& ref : query.from) {
     tables.push_back(&db.table(ref.table));
     cards.push_back(tables.back()->size());
   }
-  return plan(query, schemas, cards, sample ? &tables : nullptr);
+  p.plan = plan(query, p.schemas, cards, sample ? &tables : nullptr, metrics);
+  for (std::size_t i = 0; i < query.from.size(); ++i) p.filters.push_back(p.plan.filter(i));
+  return p;
 }
 
-SpjExecutor::SpjExecutor(const SpjQuery& query, const cat::Database& db,
-                         const std::vector<rel::Schema>& schemas, const PlannedQuery& planned,
-                         Metrics* metrics)
-    : query_(query),
-      db_(db),
-      schemas_(schemas),
-      planned_(planned),
-      metrics_(metrics),
-      base_(query.from.size()) {
-  for (const auto& s : schemas) {
-    for (const auto& a : s.attributes()) from_columns_.push_back(a.name);
-  }
+std::vector<double> SpjProgram::scan_estimates(const cat::Database& db) const {
+  std::vector<std::size_t> cards;
+  cards.reserve(query.from.size());
+  for (const auto& ref : query.from) cards.push_back(db.table(ref.table).size());
+  return plan.estimates(cards);
 }
+
+PlannedQuery SpjProgram::plan_at(const cat::Database& db) const {
+  PlannedQuery out = plan;
+  out.scan_estimates = scan_estimates(db);
+  out.join_order = order_joins(out.join_conjuncts, schemas, out.scan_estimates);
+  return out;
+}
+
+SpjExecutor::SpjExecutor(const SpjProgram& program, const cat::Database& db, Metrics* metrics)
+    : program_(program), db_(db), metrics_(metrics), base_(program.query.from.size()) {}
 
 const Relation& SpjExecutor::base(std::size_t i) {
   if (!base_[i]) {
-    const Relation& table = db_.table(query_.from[i].table);
-    const ExprPtr f = planned_.filter(i);
+    const Relation& table = db_.table(program_.query.from[i].table);
+    const ExprPtr& f = program_.filters[i];
     if (alg::is_always_true(f)) {
-      base_[i] = table;  // the qualified copy: only the schema is relabelled
-      base_[i]->set_schema(schemas_[i]);
+      // The qualified copy: only the schema is relabelled, and the copy is
+      // a derived relation, without the table's tid slots.
+      base_[i] = Relation(program_.schemas[i], table.rows());
     } else {
-      base_[i] = alg::select(table, schemas_[i], *f, metrics_);
+      base_[i] = alg::select(table, program_.schemas[i], *f, metrics_);
     }
     if (metrics_ != nullptr) {
       metrics_->add(common::metric::kBaseRowsScanned, static_cast<std::int64_t>(table.size()));
@@ -85,13 +94,14 @@ const Relation& SpjExecutor::base(std::size_t i) {
 bool SpjExecutor::probe_index(const Relation& acc, std::size_t p,
                               const std::vector<ExprPtr>& conjuncts, Relation& out) {
   const ExprPtr on = alg::conjoin(conjuncts);
-  // (accumulator column, base column) pairs; positions in schemas_[p] equal
+  // (accumulator column, base column) pairs; positions in schemas[p] equal
   // positions in the base schema.
-  const auto pairs = alg::analyze_join(on, acc.schema(), schemas_[p]).equi_pairs;
+  const rel::Schema& schema = program_.schemas[p];
+  const auto pairs = alg::analyze_join(on, acc.schema(), schema).equi_pairs;
   if (pairs.empty()) return false;
 
   // Prefer an index covering all equi columns, else any single one.
-  const std::string& table_name = query_.from[p].table;
+  const std::string& table_name = program_.query.from[p].table;
   std::vector<std::size_t> base_cols;
   for (const auto& [ac, bc] : pairs) base_cols.push_back(bc);
   const rel::MaintainedIndex* index = db_.index_on(table_name, base_cols);
@@ -110,14 +120,14 @@ bool SpjExecutor::probe_index(const Relation& acc, std::size_t p,
   }
 
   const Relation& table = db_.table(table_name);
-  const rel::Schema combined = acc.schema().concat(schemas_[p]);
+  const rel::Schema combined = acc.schema().concat(schema);
   // The probed table's own pushed-down filter reads only the matched base
   // row, so it runs first: a match it rejects never becomes a joined row.
   // The join conjuncts run on the joined row, including the equi pairs the
   // index matched, which keeps this path exactly `alg::join`'s semantics.
-  const ExprPtr base_filter = planned_.filter(p);
+  const ExprPtr& base_filter = program_.filters[p];
   std::optional<alg::BoundExpr> keep_match;
-  if (!alg::is_always_true(base_filter)) keep_match.emplace(*base_filter, schemas_[p]);
+  if (!alg::is_always_true(base_filter)) keep_match.emplace(*base_filter, schema);
   std::optional<alg::BoundExpr> keep_joined;
   if (!alg::is_always_true(on)) keep_joined.emplace(*on, combined);
 
@@ -145,11 +155,13 @@ std::optional<Relation> SpjExecutor::run(const std::vector<Relation*>& deltas,
                           const std::vector<std::size_t>& order,
                           const std::vector<std::string>& columns, bool dedup,
                           SpjExecTrace* trace) {
-  const std::size_t n = query_.from.size();
+  const std::size_t n = program_.query.from.size();
   CQ_ASSERT(deltas.size() == n && order.size() == n);
   if (trace != nullptr) {
     *trace = SpjExecTrace{};
-    for (const auto& ref : query_.from) trace->input_rows.push_back(db_.table(ref.table).size());
+    for (const auto& ref : program_.query.from) {
+      trace->input_rows.push_back(db_.table(ref.table).size());
+    }
     trace->scan_rows.assign(n, -1);
   }
   const bool binds_delta =
@@ -163,7 +175,7 @@ std::optional<Relation> SpjExecutor::run(const std::vector<Relation*>& deltas,
 
   // The accumulator borrows its first input (a bound delta or the shared
   // base) and points at `owned` once a step has produced new rows.
-  const JoinSteps steps = join_steps(order, schemas_, planned_.join_conjuncts);
+  const JoinSteps steps = join_steps(order, program_.schemas, program_.plan.join_conjuncts);
   const Relation* acc = &input(order[0]);
   Relation owned;
   for (std::size_t step = 1; step < n && !acc->empty(); ++step) {
@@ -172,7 +184,7 @@ std::optional<Relation> SpjExecutor::run(const std::vector<Relation*>& deltas,
     Relation joined;
     if (deltas[p] != nullptr || !binds_delta || !probe_index(*acc, p, on, joined)) {
       const Relation& next = input(p);
-      joined = next.empty() ? Relation(acc->schema().concat(schemas_[p]))
+      joined = next.empty() ? Relation(acc->schema().concat(program_.schemas[p]))
                             : alg::join(*acc, next, alg::conjoin(on), metrics_);
     }
     owned = std::move(joined);
@@ -207,19 +219,17 @@ std::optional<Relation> SpjExecutor::run(const std::vector<Relation*>& deltas,
 
 Relation evaluate_spj(const SpjQuery& query, const cat::Database& db, Metrics* metrics,
                       SpjExecTrace* trace) {
-  query.validate();
-  const std::vector<rel::Schema> schemas = from_schemas(query, db);
-  const PlannedQuery planned = plan_over(query, db, schemas, /*sample=*/true);
-  SpjExecutor exec(query, db, schemas, planned, metrics);
+  const SpjProgram program = compile(query, db, /*sample=*/true, metrics);
+  SpjExecutor exec(program, db, metrics);
   const bool project = !query.projection.empty();
-  const std::vector<std::string>& columns = project ? query.projection : exec.from_columns();
+  const std::vector<std::string>& columns = project ? query.projection : program.from_columns;
   std::optional<Relation> rows = exec.run(std::vector<Relation*>(query.from.size()),
-                                          planned.join_order, columns,
+                                          program.plan.join_order, columns,
                                           project && query.distinct, trace);
-  Relation out = rows ? std::move(*rows) : Relation(joined_schema(schemas).project(columns));
+  Relation out = rows ? std::move(*rows) : Relation(program.output_schema);
   if (query.distinct && !project) out = alg::distinct(out);
   if (trace != nullptr) {
-    trace->plan = planned;
+    trace->plan = program.plan;
     trace->output_rows = out.size();
   }
   return out;
@@ -317,19 +327,19 @@ QueryExplain explain_query(const SpjQuery& query, const cat::Database& db,
   const bool aggregate = query.is_aggregate();
   const SpjQuery core = aggregate ? spj_core_of(query) : query;
 
-  const std::vector<rel::Schema> schemas = from_schemas(core, db);
   QueryExplain out;
   if (execute) {
     SpjExecTrace trace;
     Relation spj = evaluate_spj(core, db, nullptr, &trace);
     out.plan = trace.plan;
-    out.root = build_plan_tree(core, out.plan, schemas, &trace);
+    out.root = build_plan_tree(core, out.plan, from_schemas(core, db), &trace);
     out.result = aggregate ? apply_order_by(query, apply_aggregates(query, spj))
                            : apply_order_by(query, std::move(spj));
     out.executed = true;
   } else {
-    out.plan = plan_over(core, db, schemas, /*sample=*/true);
-    out.root = build_plan_tree(core, out.plan, schemas);
+    const SpjProgram program = compile(core, db, /*sample=*/true);
+    out.plan = program.plan;
+    out.root = build_plan_tree(core, out.plan, program.schemas);
   }
 
   if (aggregate) {

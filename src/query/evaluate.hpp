@@ -9,7 +9,7 @@
 //                           priming, restore and EXPLAIN ANALYZE;
 //   evaluate(query, db)   — evaluate_spj, then aggregation and ORDER BY.
 //
-// The pipeline: qualify schemas, plan once, read each base under its
+// The pipeline: compile (qualify schemas, plan), read each base under its
 // pushed-down filter, join in the given order (probing a persistent index
 // for a base position when the term binds a delta), apply the residual, and
 // lay the rows out in canonical FROM column order or the projection.
@@ -31,14 +31,38 @@ namespace cq::qry {
 [[nodiscard]] std::vector<rel::Schema> from_schemas(const SpjQuery& query,
                                                     const cat::Database& db);
 
-/// The schema of joined rows: every FROM entry's qualified schema, in FROM
-/// order (the canonical column order every term is laid out in).
-[[nodiscard]] rel::Schema joined_schema(const std::vector<rel::Schema>& schemas);
+/// Everything about evaluating an SPJ query that does not depend on the
+/// data: the query, its qualified and output schemas, the plan's filters
+/// and join conjuncts, and the per-table selectivity factors. Built once
+/// by compile(); a continual query keeps one for its lifetime, so each DRA
+/// execution does only data-dependent work (table sizes, join orders,
+/// index choice). Immutable once built: concurrent readers share it.
+struct SpjProgram {
+  SpjQuery query;                        // validated
+  std::vector<rel::Schema> schemas;      // per FROM entry, alias-qualified
+  rel::Schema joined;                    // every entry's columns, FROM order
+  rel::Schema output_schema;             // the projection, or `joined`
+  std::vector<std::string> from_columns; // `joined`'s column names
+  std::vector<alg::ExprPtr> filters;     // per FROM entry: its conjoined filter
+  /// The plan made at compile time: table_filters, join_conjuncts and
+  /// filter_selectivities hold for every execution; join_order and
+  /// scan_estimates reflect the table sizes (and samples) seen then.
+  PlannedQuery plan;
 
-/// `query` planned against `db`'s current table sizes. With `sample`, the
-/// filter selectivities are measured on each table's leading rows.
-[[nodiscard]] PlannedQuery plan_over(const SpjQuery& query, const cat::Database& db,
-                                     const std::vector<rel::Schema>& schemas, bool sample);
+  /// The unsampled scan estimates at `db`'s current table sizes: each FROM
+  /// entry's row count times its compiled selectivity factors. The one place
+  /// a compiled program is re-estimated per execution.
+  [[nodiscard]] std::vector<double> scan_estimates(const cat::Database& db) const;
+  /// `plan` with scan_estimates(db) and the join order they give (EXPLAIN).
+  [[nodiscard]] PlannedQuery plan_at(const cat::Database& db) const;
+};
+
+/// Validate, qualify and plan `query` against `db`'s schemas and current
+/// table sizes. With `sample`, the plan's join order uses filter
+/// selectivities measured on each table's leading rows. The one qry::plan
+/// call counts in `metrics`' plans_built.
+[[nodiscard]] SpjProgram compile(const SpjQuery& query, const cat::Database& db,
+                                 bool sample = false, common::Metrics* metrics = nullptr);
 
 /// Executes the SPJ core of `query` over the current state of `db`, one
 /// term at a time. A term binds each FROM position either to a weighted
@@ -48,13 +72,12 @@ namespace cq::qry {
 /// through this executor; its read is what base_rows_scanned counts. A
 /// base position is probed through a covering persistent index instead
 /// exactly when the term binds at least one delta, so the accumulator it
-/// probes with stays small. `query`, `db`, `schemas` and `planned` must
-/// outlive the executor.
+/// probes with stays small. Which index, if any, is chosen per step at run
+/// time, so an index created after compile() is used. `program` and `db`
+/// must outlive the executor.
 class SpjExecutor {
  public:
-  SpjExecutor(const SpjQuery& query, const cat::Database& db,
-              const std::vector<rel::Schema>& schemas, const PlannedQuery& planned,
-              common::Metrics* metrics);
+  SpjExecutor(const SpjProgram& program, const cat::Database& db, common::Metrics* metrics);
 
   /// Join one term's positions in `order`, apply the join conjuncts at
   /// their join_steps and the residual after the last join, and return the
@@ -70,10 +93,6 @@ class SpjExecutor {
       const std::vector<std::string>& columns, bool dedup = false,
       SpjExecTrace* trace = nullptr);
 
-  /// The canonical FROM-order column names of the joined rows.
-  [[nodiscard]] const std::vector<std::string>& from_columns() const noexcept {
-    return from_columns_;
-  }
   /// Accumulator rows probed into persistent indexes so far.
   [[nodiscard]] std::size_t index_probes() const noexcept { return index_probes_; }
 
@@ -82,12 +101,9 @@ class SpjExecutor {
   bool probe_index(const rel::Relation& acc, std::size_t p,
                    const std::vector<alg::ExprPtr>& conjuncts, rel::Relation& out);
 
-  const SpjQuery& query_;
+  const SpjProgram& program_;
   const cat::Database& db_;
-  const std::vector<rel::Schema>& schemas_;
-  const PlannedQuery& planned_;
   common::Metrics* metrics_;
-  std::vector<std::string> from_columns_;
   std::vector<std::optional<rel::Relation>> base_;
   std::size_t index_probes_ = 0;
 };

@@ -101,9 +101,23 @@ JoinSteps join_steps(const std::vector<std::size_t>& order,
   return out;
 }
 
+std::vector<double> PlannedQuery::estimates(
+    const std::vector<std::size_t>& cardinalities) const {
+  if (cardinalities.size() != filter_selectivities.size()) {
+    throw common::InvalidArgument("PlannedQuery::estimates: cardinality count mismatch");
+  }
+  std::vector<double> out(cardinalities.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    double e = static_cast<double>(cardinalities[i]);
+    for (const double s : filter_selectivities[i]) e *= s;
+    out[i] = e;
+  }
+  return out;
+}
+
 PlannedQuery plan(const SpjQuery& query, const std::vector<rel::Schema>& qualified_schemas,
                   const std::vector<std::size_t>& cardinalities,
-                  const std::vector<const rel::Relation*>* samples) {
+                  const std::vector<const rel::Relation*>* samples, common::Metrics* metrics) {
   if (qualified_schemas.size() != query.from.size() ||
       cardinalities.size() != query.from.size()) {
     throw common::InvalidArgument("plan: schema/cardinality count mismatch");
@@ -141,21 +155,24 @@ PlannedQuery plan(const SpjQuery& query, const std::vector<rel::Schema>& qualifi
                      });
   }
 
-  // 3. Join order: greedy by estimated post-filter cardinality.
-  out.scan_estimates.resize(n);
+  // 3. Join order: greedy by estimated post-filter cardinality, measured
+  //    on a table's sample when there is one.
+  out.filter_selectivities.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    double e = static_cast<double>(cardinalities[i]);
-    if (!out.table_filters[i].empty()) {
-      const alg::ExprPtr filter = alg::conjoin(out.table_filters[i]);
-      if (samples != nullptr && (*samples)[i] != nullptr) {
-        e *= sampled_selectivity(*(*samples)[i], qualified_schemas[i], filter);
-      } else {
-        for (const auto& f : out.table_filters[i]) e *= alg::estimate_selectivity(f);
-      }
+    for (const auto& f : out.table_filters[i]) {
+      out.filter_selectivities[i].push_back(alg::estimate_selectivity(f));
     }
-    out.scan_estimates[i] = e;
+  }
+  out.scan_estimates = out.estimates(cardinalities);
+  for (std::size_t i = 0; samples != nullptr && i < n; ++i) {
+    if ((*samples)[i] == nullptr || out.table_filters[i].empty()) continue;
+    out.scan_estimates[i] =
+        static_cast<double>(cardinalities[i]) *
+        sampled_selectivity(*(*samples)[i], qualified_schemas[i],
+                            alg::conjoin(out.table_filters[i]));
   }
   out.join_order = order_joins(out.join_conjuncts, qualified_schemas, out.scan_estimates);
+  if (metrics != nullptr) metrics->add(common::metric::kPlansBuilt, 1);
   return out;
 }
 

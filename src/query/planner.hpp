@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "algebra/expr.hpp"
+#include "common/metrics.hpp"
 #include "query/ast.hpp"
 #include "relation/relation.hpp"
 #include "relation/schema.hpp"
@@ -27,9 +28,20 @@ struct PlannedQuery {
   /// FROM indexes in the order tables should be joined.
   std::vector<std::size_t> join_order;
 
+  /// Per FROM entry: the shape-guessed selectivity of each of its
+  /// table_filters conjuncts, in the same order. Data-independent, so a
+  /// compiled program re-estimates from these alone (see estimates()).
+  std::vector<std::vector<double>> filter_selectivities;
+
   /// Estimated post-filter cardinality per FROM entry (same order as
   /// SpjQuery::from) — the numbers the greedy join ordering ranked by.
   std::vector<double> scan_estimates;
+
+  /// Unsampled scan estimates for these per-FROM-entry `cardinalities`:
+  /// cardinalities[i] times filter_selectivities[i], multiplied in order —
+  /// exactly plan()'s estimates when it samples nothing.
+  [[nodiscard]] std::vector<double> estimates(
+      const std::vector<std::size_t>& cardinalities) const;
 
   /// Filter for table i AND-combined (always_true() when none).
   [[nodiscard]] alg::ExprPtr filter(std::size_t i) const {
@@ -100,12 +112,12 @@ struct JoinSteps {
 /// qualified schema, e.g. the base table itself), per-table filter
 /// selectivities are *measured* on a bounded row sample instead of guessed
 /// from predicate shape, which materially improves join ordering on skewed
-/// data.
+/// data. Each call adds 1 to `metrics`' plans_built.
 [[nodiscard]] PlannedQuery plan(const SpjQuery& query,
                                 const std::vector<rel::Schema>& qualified_schemas,
                                 const std::vector<std::size_t>& cardinalities,
-                                const std::vector<const rel::Relation*>* samples =
-                                    nullptr);
+                                const std::vector<const rel::Relation*>* samples = nullptr,
+                                common::Metrics* metrics = nullptr);
 
 /// Step 3 of plan(): the greedy join order over per-FROM-entry row
 /// `estimates` — smallest first, preferring tables connected to the

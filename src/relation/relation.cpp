@@ -1,21 +1,20 @@
 #include "relation/relation.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
+#include <utility>
 
 #include "common/error.hpp"
 
 namespace cq::rel {
 
 Relation::Relation(Schema schema, std::vector<Tuple> rows) : schema_(std::move(schema)) {
-  rows_.reserve(rows.size());
-  for (auto& r : rows) {
-    if (r.tid().valid()) {
-      insert(std::move(r));
-    } else {
-      append(std::move(r));
-    }
+  for (const auto& r : rows) {
+    check_arity(r);
+    next_tid_ = std::max(next_tid_, r.tid().raw() + 1);
   }
+  rows_ = std::move(rows);
 }
 
 const Tuple& Relation::row(std::size_t i) const {
@@ -38,16 +37,151 @@ void Relation::check_arity(const Tuple& t) const {
   }
 }
 
+TidSlots::TidSlots(const TidSlots& other) : pages_(other.pages_) {
+  dense_.resize(other.dense_.size());
+  for (std::size_t p = 0; p < dense_.size(); ++p) {
+    if (other.dense_[p]) dense_[p] = std::make_unique<Page>(*other.dense_[p]);
+  }
+  for (const auto& [p, page] : other.sparse_) sparse_.emplace(p, std::make_unique<Page>(*page));
+}
+
+TidSlots& TidSlots::operator=(const TidSlots& other) {
+  if (this != &other) *this = TidSlots(other);
+  return *this;
+}
+
+void TidSlots::set(TupleId tid, std::uint32_t value) {
+  const std::uint64_t p = tid.raw() >> kPageBits;
+  std::unique_ptr<Page>* holder = nullptr;
+  if (p < kDensePages) {
+    if (p >= dense_.size()) {
+      if (value == 0) return;
+      dense_.resize(p + 1);
+    }
+    holder = &dense_[p];
+  } else if (auto it = sparse_.find(p); it != sparse_.end()) {
+    holder = &it->second;
+  } else {
+    if (value == 0) return;
+    holder = &sparse_[p];
+  }
+  if (!*holder) {
+    if (value == 0) return;
+    *holder = spare_ ? std::move(spare_) : std::make_unique<Page>();
+    ++pages_;
+  }
+  Page& page = **holder;
+  std::uint32_t& slot = page.slots[tid.raw() & (kPageSize - 1)];
+  if (slot == 0 && value != 0) ++page.live;
+  if (slot != 0 && value == 0) --page.live;
+  slot = value;
+  if (page.live == 0) {
+    spare_ = std::move(*holder);
+    --pages_;
+    if (p >= kDensePages) sparse_.erase(p);
+  }
+}
+
+void TidSlots::clear() noexcept {
+  dense_.clear();
+  sparse_.clear();
+  pages_ = 0;
+}
+
+void Relation::require_keyed(const char* op) const {
+  if (!keyed_) {
+    throw common::InvalidArgument(std::string("Relation::") + op +
+                                  " needs a keyed table (keyed_table or key_by_tid)");
+  }
+}
+
+void Relation::set_slot(TupleId tid, std::size_t row) {
+  if (row + 1 >= std::numeric_limits<std::uint32_t>::max()) {
+    throw common::InvalidArgument("Relation: a keyed table holds fewer than 2^32 - 1 rows");
+  }
+  slots_.set(tid, static_cast<std::uint32_t>(row + 1));
+}
+
+std::optional<std::size_t> Relation::indexed_row(TupleId tid) const noexcept {
+  if (keyed_) {
+    const std::uint32_t s = slots_.get(tid);
+    if (s != 0) return s - 1;
+  } else if (by_tid_) {
+    auto it = by_tid_->find(tid);
+    if (it != by_tid_->end()) return it->second;
+  }
+  return std::nullopt;
+}
+
+void Relation::reindex(TupleId tid, std::optional<std::size_t> row) {
+  if (!tid.valid()) return;
+  if (keyed_) {
+    if (row) {
+      set_slot(tid, *row);
+    } else {
+      slots_.set(tid, 0);
+    }
+  } else if (by_tid_) {
+    if (row) {
+      (*by_tid_)[tid] = *row;
+    } else {
+      by_tid_->erase(tid);
+    }
+  }
+}
+
+void Relation::sync_tid_index() {
+  for (; tid_indexed_ < rows_.size(); ++tid_indexed_) {
+    const TupleId tid = rows_[tid_indexed_].tid();
+    if (tid.valid()) by_tid_->try_emplace(tid, tid_indexed_);
+  }
+}
+
+Tuple Relation::remove_at(std::size_t idx) {
+  Tuple removed = std::move(rows_[idx]);
+  if (indexed_row(removed.tid()) == idx) reindex(removed.tid(), std::nullopt);
+  const std::size_t last = rows_.size() - 1;
+  if (idx != last) {
+    rows_[idx] = std::move(rows_[last]);
+    if (indexed_row(rows_[idx].tid()) == last) reindex(rows_[idx].tid(), idx);
+  }
+  rows_.pop_back();
+  if (by_tid_) tid_indexed_ = rows_.size();
+  return removed;
+}
+
+void Relation::key_by_tid() {
+  if (keyed_) return;
+  by_tid_.reset();
+  tid_indexed_ = 0;
+  keyed_ = true;
+  try {
+    for (std::size_t i = 0; i < rows_.size(); ++i) {
+      const TupleId tid = rows_[i].tid();
+      if (!tid.valid()) continue;
+      if (slots_.get(tid) != 0) {
+        throw common::InvalidArgument("Relation: duplicate tid " + tid.to_string() +
+                                      " in a keyed table");
+      }
+      set_slot(tid, i);
+    }
+  } catch (...) {
+    keyed_ = false;
+    slots_.clear();
+    throw;
+  }
+}
+
 void Relation::insert(Tuple tuple) {
   check_arity(tuple);
-  if (!tuple.tid().valid()) {
-    throw common::InvalidArgument("Relation::insert requires a valid tid");
+  const TupleId tid = tuple.tid();
+  if (!tid.valid()) throw common::InvalidArgument("Relation::insert requires a valid tid");
+  require_keyed("insert");
+  if (slots_.get(tid) != 0) {
+    throw common::InvalidArgument("Relation::insert duplicate tid " + tid.to_string());
   }
-  if (by_tid_.contains(tuple.tid())) {
-    throw common::InvalidArgument("Relation::insert duplicate tid " + tuple.tid().to_string());
-  }
-  next_tid_ = std::max(next_tid_, tuple.tid().raw() + 1);
-  by_tid_.emplace(tuple.tid(), rows_.size());
+  set_slot(tid, rows_.size());
+  next_tid_ = std::max(next_tid_, tid.raw() + 1);
   rows_.push_back(std::move(tuple));
 }
 
@@ -58,66 +192,47 @@ TupleId Relation::insert_values(std::vector<Value> values) {
 }
 
 Tuple Relation::erase(TupleId tid) {
-  auto it = by_tid_.find(tid);
-  if (it == by_tid_.end()) {
-    throw common::NotFound("Relation::erase: no tid " + tid.to_string());
-  }
-  const std::size_t idx = it->second;
-  Tuple removed = std::move(rows_[idx]);
-  by_tid_.erase(it);
-  if (idx + 1 != rows_.size()) {
-    rows_[idx] = std::move(rows_.back());
-    if (rows_[idx].tid().valid()) by_tid_[rows_[idx].tid()] = idx;
-  }
-  rows_.pop_back();
-  return removed;
+  require_keyed("erase");
+  const std::uint32_t s = slots_.get(tid);
+  if (s == 0) throw common::NotFound("Relation::erase: no tid " + tid.to_string());
+  return remove_at(s - 1);
 }
 
 Tuple Relation::update(TupleId tid, std::vector<Value> values) {
-  auto it = by_tid_.find(tid);
-  if (it == by_tid_.end()) {
-    throw common::NotFound("Relation::update: no tid " + tid.to_string());
-  }
+  require_keyed("update");
+  const std::uint32_t s = slots_.get(tid);
+  if (s == 0) throw common::NotFound("Relation::update: no tid " + tid.to_string());
   Tuple replacement(std::move(values), tid);
   check_arity(replacement);
-  Tuple old = std::move(rows_[it->second]);
-  rows_[it->second] = std::move(replacement);
-  return old;
+  return std::exchange(rows_[s - 1], std::move(replacement));
 }
 
-bool Relation::contains(TupleId tid) const noexcept { return by_tid_.contains(tid); }
-
 const Tuple* Relation::find(TupleId tid) const noexcept {
-  auto it = by_tid_.find(tid);
-  return it == by_tid_.end() ? nullptr : &rows_[it->second];
+  if (keyed_) {
+    const std::uint32_t s = slots_.get(tid);
+    return s == 0 ? nullptr : &rows_[s - 1];
+  }
+  if (!tid.valid()) return nullptr;
+  for (const auto& r : rows_) {
+    if (r.tid() == tid) return &r;
+  }
+  return nullptr;
 }
 
 void Relation::append(Tuple tuple) {
   check_arity(tuple);
-  if (tuple.tid().valid()) {
-    if (by_tid_.contains(tuple.tid())) {
-      // Derived results can legitimately carry repeated tids (e.g. a tuple
-      // matched twice through a self-join); index only the first occurrence.
-    } else {
-      by_tid_.emplace(tuple.tid(), rows_.size());
-      next_tid_ = std::max(next_tid_, tuple.tid().raw() + 1);
-    }
-  }
+  const TupleId tid = tuple.tid();
+  // A keyed table indexes a fresh tid; a repeated one stays unindexed.
+  if (keyed_ && tid.valid() && slots_.get(tid) == 0) set_slot(tid, rows_.size());
+  next_tid_ = std::max(next_tid_, tid.raw() + 1);
   rows_.push_back(std::move(tuple));
 }
 
 bool Relation::remove_one_by_value(const Tuple& values) {
+  if (by_tid_) sync_tid_index();
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     if (rows_[i].same_values(values)) {
-      if (rows_[i].tid().valid()) by_tid_.erase(rows_[i].tid());
-      if (i + 1 != rows_.size()) {
-        rows_[i] = std::move(rows_.back());
-        if (rows_[i].tid().valid()) {
-          auto it = by_tid_.find(rows_[i].tid());
-          if (it != by_tid_.end()) it->second = i;
-        }
-      }
-      rows_.pop_back();
+      remove_at(i);
       return true;
     }
   }
@@ -126,18 +241,12 @@ bool Relation::remove_one_by_value(const Tuple& values) {
 
 bool Relation::remove_one(const Tuple& tuple) {
   if (tuple.tid().valid()) {
-    auto it = by_tid_.find(tuple.tid());
-    if (it != by_tid_.end()) {
-      const std::size_t idx = it->second;
-      by_tid_.erase(it);
-      if (idx + 1 != rows_.size()) {
-        rows_[idx] = std::move(rows_.back());
-        if (rows_[idx].tid().valid()) {
-          auto bt = by_tid_.find(rows_[idx].tid());
-          if (bt != by_tid_.end()) bt->second = idx;
-        }
-      }
-      rows_.pop_back();
+    if (!keyed_) {
+      if (!by_tid_) by_tid_.emplace();
+      sync_tid_index();
+    }
+    if (const auto idx = indexed_row(tuple.tid())) {
+      remove_at(*idx);
       return true;
     }
   }

@@ -1,11 +1,26 @@
 // In-memory relations. A Relation serves two roles:
-//   * base table: rows carry valid, unique tids; insert/erase/update by tid;
-//   * derived result (query output): rows may be tid-less and duplicated,
-//     with multiset semantics for equality and difference (Section 4.2 Diff).
+//   * keyed table (a catalog base table, keyed by Database when the table is
+//     created or restored): rows carry valid, unique tids, and a TidSlots
+//     table maps each tid to its row, so find/contains/erase/update cost
+//     O(1) without hashing. insert/insert_values/erase/update require a
+//     keyed table; keyed_table() creates one, key_by_tid() keys rows
+//     already appended;
+//   * derived relation (query outputs, DRA intermediates, saved CQ
+//     results): rows may be tid-less and duplicated, with multiset
+//     semantics for equality and difference (Section 4.2 Diff). append()
+//     only stores the row. The one tid-keyed operation a derived relation
+//     needs, remove_one() on a saved complete result, builds a tid → row
+//     hash index on its first call and extends it over later appends from
+//     then on. find()/contains() on a derived relation scan its rows.
+// No const member builds or changes an index, so concurrent readers of one
+// table (e.g. evaluation lanes probing it) never race.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -16,11 +31,68 @@
 
 namespace cq::rel {
 
+/// A keyed table's tid → row map: value row index + 1, 0 when absent. Tids
+/// are grouped into pages of kPageSize slots; a page is allocated when its
+/// first slot is set and freed when its last one clears, so memory follows
+/// the pages that hold live rows, not the tids ever issued. Pages below
+/// kDensePages sit in a directory indexed by page number (one array index
+/// per lookup); pages beyond it in a hash map, so any 64-bit tid is
+/// accepted.
+class TidSlots {
+ public:
+  TidSlots() = default;
+  TidSlots(const TidSlots& other);
+  TidSlots& operator=(const TidSlots& other);
+  TidSlots(TidSlots&&) noexcept = default;
+  TidSlots& operator=(TidSlots&&) noexcept = default;
+
+  [[nodiscard]] std::uint32_t get(TupleId tid) const noexcept {
+    const Page* page = find_page(tid.raw() >> kPageBits);
+    return page == nullptr ? 0 : page->slots[tid.raw() & (kPageSize - 1)];
+  }
+  void set(TupleId tid, std::uint32_t value);
+  void clear() noexcept;
+  /// Pages currently allocated (kPageSize * 4 bytes each).
+  [[nodiscard]] std::size_t pages() const noexcept { return pages_; }
+
+  static constexpr unsigned kPageBits = 12;
+  static constexpr std::size_t kPageSize = std::size_t{1} << kPageBits;
+  /// Pages of tids below 2^30 are directly indexed: the directory costs 8
+  /// bytes per page number up to the highest one used, at most 2 MiB.
+  static constexpr std::uint64_t kDensePages = std::uint64_t{1} << 18;
+
+ private:
+  struct Page {
+    std::uint32_t live = 0;  // non-zero slots
+    std::array<std::uint32_t, kPageSize> slots{};
+  };
+  [[nodiscard]] const Page* find_page(std::uint64_t p) const noexcept {
+    if (p < dense_.size()) return dense_[p].get();
+    if (p < kDensePages || sparse_.empty()) return nullptr;
+    auto it = sparse_.find(p);
+    return it == sparse_.end() ? nullptr : it->second.get();
+  }
+
+  std::vector<std::unique_ptr<Page>> dense_;
+  std::unordered_map<std::uint64_t, std::unique_ptr<Page>> sparse_;
+  /// The last freed page (all zero), reused by the next allocation so a
+  /// table whose newest page empties and refills does not churn the heap.
+  std::unique_ptr<Page> spare_;
+  std::size_t pages_ = 0;
+};
+
 class Relation {
  public:
   Relation() = default;
   explicit Relation(Schema schema) : schema_(std::move(schema)) {}
+  /// A derived relation holding `rows` as given.
   Relation(Schema schema, std::vector<Tuple> rows);
+  /// An empty keyed table.
+  [[nodiscard]] static Relation keyed_table(Schema schema) {
+    Relation r(std::move(schema));
+    r.key_by_tid();
+    return r;
+  }
 
   [[nodiscard]] const Schema& schema() const noexcept { return schema_; }
   [[nodiscard]] std::size_t size() const noexcept { return rows_.size(); }
@@ -29,23 +101,35 @@ class Relation {
   [[nodiscard]] const Tuple& row(std::size_t i) const;
 
   /// Mutable row access for in-place annotation (e.g. lineage attachment).
-  /// Callers must not change values or tids through this — the tid index
-  /// and multiset semantics assume rows are immutable once added.
+  /// Callers must not change values or tids, nor reorder or remove rows,
+  /// through this — the tid indexes assume rows stay where they were put.
   [[nodiscard]] std::vector<Tuple>& mutable_rows() noexcept { return rows_; }
 
   /// Replace the schema qualifier view without touching rows. Used by the
   /// planner when a table is aliased (FROM Stocks AS s).
   void set_schema(Schema schema);
 
-  // ---- base-table mutations (tid-keyed) ----
+  // ---- keyed-table mutations (tid-keyed) ----
 
-  /// Insert a row with a caller-chosen tid (must be valid and fresh).
+  /// Make this a keyed table: index every row's tid in the slot table.
+  /// Tid-less rows stay unindexed. Throws InvalidArgument on a duplicate
+  /// tid. Database creates each table keyed and keys it again when it is
+  /// restored (decoded rows arrive through append). A keyed table holds
+  /// fewer than 2^32 - 1 rows.
+  void key_by_tid();
+  [[nodiscard]] bool keyed() const noexcept { return keyed_; }
+  /// Keyed: slot pages currently allocated (see TidSlots).
+  [[nodiscard]] std::size_t slot_pages() const noexcept { return slots_.pages(); }
+
+  /// Keyed: insert a row with a caller-chosen tid (must be valid and fresh).
   void insert(Tuple tuple);
 
-  /// Insert values, assigning the next tid from this relation's counter.
+  /// Keyed: insert values, assigning the next tid from this relation's
+  /// counter.
   TupleId insert_values(std::vector<Value> values);
 
-  /// Claim the next tid without inserting (transactions reserve tids at
+  /// Claim the next tid without inserting: one above every tid this
+  /// relation has held or handed out. (Transactions reserve tids at
   /// op-queue time so later ops in the same transaction can reference
   /// them). Not synchronized — under multi-writer commits, go through
   /// Database, which serializes reservation on the table's shard lock.
@@ -62,18 +146,22 @@ class Relation {
     return true;
   }
 
-  /// Remove the row with this tid. Returns the removed tuple.
+  /// Keyed: remove the row with this tid (swap-remove: the last row takes
+  /// its place). Returns the removed tuple; throws NotFound when absent.
   Tuple erase(TupleId tid);
 
-  /// Replace the values of the row with this tid. Returns the old tuple.
+  /// Keyed: replace the values of the row with this tid in place. Returns
+  /// the old tuple; throws NotFound when absent.
   Tuple update(TupleId tid, std::vector<Value> values);
 
-  [[nodiscard]] bool contains(TupleId tid) const noexcept;
+  /// Slot lookup on a keyed table; a scan on a derived one.
+  [[nodiscard]] bool contains(TupleId tid) const noexcept { return find(tid) != nullptr; }
   [[nodiscard]] const Tuple* find(TupleId tid) const noexcept;
 
   // ---- derived-result mutations (multiset) ----
 
-  /// Append a row without tid bookkeeping (duplicates allowed).
+  /// Append a row (duplicates allowed). On a derived relation this only
+  /// stores it; on a keyed table a fresh tid also gets its slot.
   void append(Tuple tuple);
 
   /// Remove one occurrence of a row with exactly these values (any tid).
@@ -81,8 +169,9 @@ class Relation {
   bool remove_one_by_value(const Tuple& values);
 
   /// Remove one occurrence matching both values and tid (tid-aware variant
-  /// used when maintaining complete CQ results). Falls back to value-only
-  /// matching when tid is invalid.
+  /// used when maintaining complete CQ results): the row indexed under
+  /// `tuple`'s tid, else the first row with its values. On a derived
+  /// relation the first call builds the tid index.
   bool remove_one(const Tuple& tuple);
 
   // ---- multiset comparisons ----
@@ -106,10 +195,32 @@ class Relation {
 
  private:
   void check_arity(const Tuple& t) const;
+  /// Throws InvalidArgument unless this is a keyed table.
+  void require_keyed(const char* op) const;
+  /// Keyed: point `tid`'s slot at row `row`.
+  void set_slot(TupleId tid, std::size_t row);
+  /// The row index `tid` is indexed at (in whichever index this relation
+  /// keeps), or nullopt.
+  [[nodiscard]] std::optional<std::size_t> indexed_row(TupleId tid) const noexcept;
+  /// Point `tid`'s index entry at `row`, or drop it (nullopt). A no-op
+  /// while the relation keeps no index.
+  void reindex(TupleId tid, std::optional<std::size_t> row);
+  /// Derived with an index: index the rows appended since the last call,
+  /// each tid at its first occurrence.
+  void sync_tid_index();
+  /// Swap-remove row `idx` and return it: an index entry pointing at it is
+  /// dropped, and the last row takes its place (an entry pointing at that
+  /// row follows it).
+  Tuple remove_at(std::size_t idx);
 
   Schema schema_;
   std::vector<Tuple> rows_;
-  std::unordered_map<TupleId, std::size_t> by_tid_;
+  bool keyed_ = false;
+  TidSlots slots_;  // keyed: tid → row index + 1
+  /// Derived: the tid index once remove_one has built it, covering
+  /// rows_[0, tid_indexed_).
+  std::optional<std::unordered_map<TupleId, std::size_t>> by_tid_;
+  std::size_t tid_indexed_ = 0;
   TupleId::rep next_tid_ = 1;
 };
 

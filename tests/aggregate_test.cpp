@@ -14,9 +14,9 @@ using rel::Value;
 using rel::ValueType;
 
 Relation sales() {
-  Relation r(Schema::of({{"region", ValueType::kString},
-                         {"amount", ValueType::kInt},
-                         {"rate", ValueType::kDouble}}));
+  Relation r = Relation::keyed_table(Schema::of({{"region", ValueType::kString},
+                                                {"amount", ValueType::kInt},
+                                                {"rate", ValueType::kDouble}}));
   r.insert_values({Value("east"), Value(10), Value(0.5)});
   r.insert_values({Value("east"), Value(20), Value(1.5)});
   r.insert_values({Value("west"), Value(5), Value(2.0)});
@@ -91,7 +91,8 @@ TEST(GroupAggregate, EmptyInputYieldsNoGroups) {
 }
 
 TEST(GroupAggregate, NullGroupKeyIsAGroup) {
-  Relation r(Schema::of({{"g", ValueType::kString}, {"v", ValueType::kInt}}));
+  Relation r =
+      Relation::keyed_table(Schema::of({{"g", ValueType::kString}, {"v", ValueType::kInt}}));
   r.insert_values({Value::null(), Value(1)});
   r.insert_values({Value::null(), Value(2)});
   r.insert_values({Value("a"), Value(3)});
@@ -103,8 +104,8 @@ TEST(GroupAggregate, NullGroupKeyIsAGroup) {
 }
 
 TEST(GroupAggregate, MultipleGroupColumns) {
-  Relation r(Schema::of({{"a", ValueType::kInt}, {"b", ValueType::kInt},
-                         {"v", ValueType::kInt}}));
+  Relation r = Relation::keyed_table(
+      Schema::of({{"a", ValueType::kInt}, {"b", ValueType::kInt}, {"v", ValueType::kInt}}));
   r.insert_values({Value(1), Value(1), Value(10)});
   r.insert_values({Value(1), Value(2), Value(20)});
   r.insert_values({Value(1), Value(1), Value(30)});

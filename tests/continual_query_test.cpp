@@ -480,5 +480,77 @@ TEST(ContinualQuery, RestoreWithIntactLogStillRollsBack) {
   EXPECT_TRUE(a.delta.deleted.equal_multiset(b.delta.deleted));
 }
 
+// ---- the DRA program compiled once per CQ ----
+
+cat::Database stocks_trades_db() {
+  cat::Database db = stocks_db();
+  db.create_table("Trades", rel::Schema::of({{"sym", ValueType::kString},
+                                             {"qty", ValueType::kInt}}));
+  db.insert("Trades", {Value("DEC"), Value(5)});
+  db.insert("Trades", {Value("IBM"), Value(7)});
+  return db;
+}
+
+TEST(ContinualQuery, DraExecutionsBuildNoPlan) {
+  cat::Database db = stocks_trades_db();
+  const std::string sql =
+      "SELECT s.name, t.qty FROM Stocks s, Trades t WHERE s.name = t.sym AND s.price > 90";
+  ContinualQuery cq(spec_for(sql), db);
+  (void)cq.execute_initial(db);  // priming recomputes, and plans that once
+
+  common::Metrics metrics;
+  std::size_t delivered = 0;
+  for (int i = 0; i < 200; ++i) {
+    db.insert(i % 2 == 0 ? "Trades" : "Stocks",
+              i % 2 == 0 ? std::vector<Value>{Value("DEC"), Value(i)}
+                         : std::vector<Value>{Value("DEC"), Value(100 + i)});
+    delivered += cq.execute(db, &metrics).delta.inserted.size();
+  }
+  EXPECT_EQ(metrics.get(common::metric::kDraInvocations), 200);
+  EXPECT_GT(delivered, 200u);
+  EXPECT_EQ(metrics.get(common::metric::kPlansBuilt), 0);
+
+  const qry::SpjQuery query = qry::parse_query(sql);
+  for (int i = 1; i <= 3; ++i) {
+    (void)qry::evaluate_spj(query, db, &metrics);
+    EXPECT_EQ(metrics.get(common::metric::kPlansBuilt), i);
+  }
+}
+
+TEST(ContinualQuery, IndexCreatedAfterInstallIsProbed) {
+  // Twin databases, twin CQs; only `indexed` gets an index, after install.
+  cat::Database plain = stocks_trades_db();
+  cat::Database indexed = stocks_trades_db();
+  const std::string sql = "SELECT * FROM Stocks s, Trades t WHERE s.name = t.sym";
+  ContinualQuery on_plain(spec_for(sql), plain);
+  ContinualQuery on_indexed(spec_for(sql), indexed);
+  (void)on_plain.execute_initial(plain);
+  (void)on_indexed.execute_initial(indexed);
+
+  auto trade = [&](const std::vector<Value>& row) {
+    plain.insert("Trades", row);
+    indexed.insert("Trades", row);
+  };
+  auto expect_same_delta = [](const Notification& a, const Notification& b) {
+    EXPECT_FALSE(a.delta.empty());
+    EXPECT_TRUE(a.delta.inserted.equal_multiset(b.delta.inserted));
+    EXPECT_TRUE(a.delta.deleted.equal_multiset(b.delta.deleted));
+  };
+
+  trade({Value("QLI"), Value(3)});
+  common::Metrics before;
+  const Notification first = on_indexed.execute(indexed, &before);
+  EXPECT_EQ(before.get(common::metric::kIndexProbes), 0);
+  expect_same_delta(on_plain.execute(plain), first);
+
+  indexed.create_index("Stocks", "by_name", {"name"});
+  trade({Value("DEC"), Value(9)});
+  common::Metrics after;
+  const Notification second = on_indexed.execute(indexed, &after);
+  EXPECT_GT(after.get(common::metric::kIndexProbes), 0);
+  EXPECT_EQ(after.get(common::metric::kPlansBuilt), 0);
+  expect_same_delta(on_plain.execute(plain), second);
+}
+
 }  // namespace
 }  // namespace cq::core

@@ -285,6 +285,41 @@ TEST(DraOracle, CorpusReplayIsByteIdenticalAcrossThreadCounts) {
   EXPECT_GT(replayed, 0u);
 }
 
+/// A CQ's DRA program is compiled once, against the table sizes of its
+/// install. Over the corpus and 300 random scripts, after every commit the
+/// script interpreter compares that program's ΔQ with one from
+/// dra_differential(query, ...), which compiles for the call: row for row,
+/// tids and weights included, in the same order.
+TEST(DraOracle, InstallTimeProgramMatchesPerCallCompile) {
+  namespace fs = std::filesystem;
+  std::vector<std::vector<std::uint8_t>> scripts;
+  for (const char* kind : {"corpus", "regressions"}) {
+    const fs::path dir = fs::path(CQ_FUZZ_DIR) / kind / "dra_oracle";
+    if (!fs::is_directory(dir)) continue;
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      if (!entry.is_regular_file() || entry.path().filename().string()[0] == '.') continue;
+      std::ifstream in(entry.path(), std::ios::binary);
+      scripts.emplace_back((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    }
+  }
+  ASSERT_FALSE(scripts.empty());
+  common::Rng rng(0x9a0c);
+  for (int round = 0; round < 300; ++round) {
+    std::vector<std::uint8_t> script(256 + rng.index(512));
+    for (auto& b : script) b = static_cast<std::uint8_t>(rng.index(256));
+    scripts.push_back(std::move(script));
+  }
+  std::size_t checks = 0;
+  for (std::size_t i = 0; i < scripts.size(); ++i) {
+    const testing::DraScriptReport r =
+        testing::run_dra_oracle_script(scripts[i].data(), scripts[i].size());
+    ASSERT_TRUE(r.ok) << "script " << i << ": " << r.message;
+    checks += r.program_checks;
+  }
+  EXPECT_GT(checks, 1000u);  // the comparison must cover real commits
+}
+
 /// Lineage lane: with provenance collection on, sequential and 4-lane runs
 /// must agree on every delivered row's provenance set, bit for bit — the
 /// digest appends each row's sorted (relation, txn, seq) citations. The

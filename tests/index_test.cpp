@@ -28,7 +28,8 @@ using rel::Value;
 using rel::ValueType;
 
 TEST(MaintainedIndex, BuildAndProbe) {
-  Relation r(Schema::of({{"k", ValueType::kInt}, {"v", ValueType::kString}}));
+  Relation r =
+      Relation::keyed_table(Schema::of({{"k", ValueType::kInt}, {"v", ValueType::kString}}));
   const TupleId a = r.insert_values({Value(1), Value("a")});
   r.insert_values({Value(2), Value("b")});
   const TupleId c = r.insert_values({Value(1), Value("c")});
@@ -74,7 +75,7 @@ TEST(MaintainedIndex, CompositeKey) {
 /// probe finds nothing, entries() leaves the row out, and erasing or
 /// updating it (into or out of a NULL key) keeps the index consistent.
 TEST(MaintainedIndex, NullKeyedRowsAreNotIndexed) {
-  Relation r(Schema::of({{"k", ValueType::kInt}, {"v", ValueType::kInt}}));
+  Relation r = Relation::keyed_table(Schema::of({{"k", ValueType::kInt}, {"v", ValueType::kInt}}));
   r.insert_values({Value(1), Value(10)});
   r.insert_values({Value::null(), Value(20)});
   MaintainedIndex index({0});

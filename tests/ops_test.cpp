@@ -17,7 +17,8 @@ using rel::Value;
 using rel::ValueType;
 
 Relation people() {
-  Relation r(Schema::of({{"p.name", ValueType::kString}, {"p.dept", ValueType::kInt}}));
+  Relation r = Relation::keyed_table(
+      Schema::of({{"p.name", ValueType::kString}, {"p.dept", ValueType::kInt}}));
   r.insert_values({Value("ann"), Value(1)});
   r.insert_values({Value("bob"), Value(2)});
   r.insert_values({Value("cat"), Value(1)});
@@ -25,7 +26,8 @@ Relation people() {
 }
 
 Relation depts() {
-  Relation r(Schema::of({{"d.id", ValueType::kInt}, {"d.label", ValueType::kString}}));
+  Relation r = Relation::keyed_table(
+      Schema::of({{"d.id", ValueType::kInt}, {"d.label", ValueType::kString}}));
   r.insert_values({Value(1), Value("eng")});
   r.insert_values({Value(2), Value("ops")});
   r.insert_values({Value(3), Value("hr")});
@@ -79,10 +81,12 @@ TEST(NestedLoopJoin, ThetaJoin) {
 /// One NULL key and one `1` key on each side: `=` is never true on NULL,
 /// so only the two `1` rows join.
 std::pair<Relation, Relation> null_keyed_pair() {
-  Relation a(Schema::of({{"a.k", ValueType::kInt}, {"a.x", ValueType::kString}}));
+  Relation a =
+      Relation::keyed_table(Schema::of({{"a.k", ValueType::kInt}, {"a.x", ValueType::kString}}));
   a.insert_values({Value::null(), Value("a-null")});
   a.insert_values({Value(1), Value("a-one")});
-  Relation b(Schema::of({{"b.k", ValueType::kInt}, {"b.y", ValueType::kString}}));
+  Relation b =
+      Relation::keyed_table(Schema::of({{"b.k", ValueType::kInt}, {"b.y", ValueType::kString}}));
   b.insert_values({Value::null(), Value("b-null")});
   b.insert_values({Value(1), Value("b-one")});
   return {std::move(a), std::move(b)};

@@ -6,6 +6,8 @@
 
 #include "catalog/transaction.hpp"
 #include "common/error.hpp"
+#include "cq/dra.hpp"
+#include "cq/propagate.hpp"
 #include "persist/snapshot.hpp"
 #include "query/evaluate.hpp"
 #include "query/parser.hpp"
@@ -59,6 +61,101 @@ TEST(Snapshot, RestoredDatabaseAcceptsNewTransactions) {
   const auto tid = restored.insert("S", {Value(1), Value("tech"), Value(5), Value(1)});
   EXPECT_GT(tid.raw(), 20u);
   EXPECT_GT(restored.delta("S").rows().back().ts, db.clock().now());
+}
+
+/// A restored table is keyed again: erase/modify commits find their rows
+/// by tid, and a DRA join term probes its persistent index, on the
+/// restored database exactly as on the original.
+TEST(Snapshot, RestoredTableServesCommitsAndIndexProbes) {
+  common::Rng rng(33);
+  cat::Database db;
+  testing::make_stock_table(db, "S", 300, rng);
+  testing::make_stock_table(db, "T", 40, rng);
+  db.create_index("S", "by_cat", {"category"});
+  testing::random_updates(db, "S", 60, {.modify_fraction = 0.3, .delete_fraction = 0.4},
+                          rng);
+  cat::Database restored = persist::load_database(persist::save_database(db));
+  ASSERT_TRUE(restored.table("S").keyed());
+  ASSERT_TRUE(restored.table("T").keyed());
+
+  const qry::SpjQuery query =
+      qry::parse_query("SELECT * FROM S s, T t WHERE s.category = t.category");
+  const rel::Relation before = core::recompute(query, restored);
+  const common::Timestamp t0 = restored.clock().now();
+  ASSERT_EQ(t0, db.clock().now());
+
+  // The same erase/modify commits on both databases, by tid.
+  const std::vector<rel::TupleId> s_tids = testing::live_tids(db, "S");
+  const std::vector<rel::TupleId> t_tids = testing::live_tids(db, "T");
+  for (cat::Database* target : {&db, &restored}) {
+    auto txn = target->begin();
+    for (std::size_t i = 0; i < s_tids.size(); i += 7) txn.erase("S", s_tids[i]);
+    for (std::size_t i = 3; i < s_tids.size(); i += 11) {
+      if (i % 7 == 0) continue;  // erased above
+      txn.modify("S", s_tids[i], {Value(1000 + static_cast<std::int64_t>(i)), Value("tech"),
+                                  Value(5), Value(1)});
+    }
+    txn.modify("T", t_tids[0], {Value(1), Value("bank"), Value(7), Value(2)});
+    txn.erase("T", t_tids[1]);
+    txn.commit();
+  }
+  ASSERT_TRUE(restored.table("S").equal_multiset(db.table("S")));
+  for (const auto& row : db.table("S").rows()) {
+    const rel::Tuple* twin = restored.table("S").find(row.tid());
+    ASSERT_NE(twin, nullptr);
+    EXPECT_TRUE(twin->same_values(row));
+  }
+  EXPECT_THROW(restored.erase("S", s_tids[0]), common::NotFound);
+
+  core::DraStats stats;
+  const core::DiffResult on_restored =
+      core::dra_differential(query, restored, t0, nullptr, &stats);
+  EXPECT_GT(stats.index_probes, 0u);  // the ΔT term probes S's index
+  EXPECT_TRUE(on_restored.equivalent(core::dra_differential(query, db, t0)));
+  EXPECT_TRUE(on_restored.equivalent(core::propagate(query, restored, before)));
+}
+
+/// Tids past the 32-bit range survive a snapshot round trip, and the
+/// restored table serves erase/modify commits and inserts on them.
+TEST(Snapshot, HighTidsRoundTrip) {
+  const rel::Schema schema =
+      rel::Schema::of({{"k", ValueType::kInt}, {"v", ValueType::kString}});
+  const rel::TupleId::rep high = rel::TupleId::rep{1} << 33;
+  rel::Relation rows(schema);
+  for (std::int64_t i = 0; i < 5; ++i) {
+    rows.append(rel::Tuple({Value(i), Value("r")},
+                           rel::TupleId(high + 4096 * static_cast<rel::TupleId::rep>(i))));
+  }
+  cat::Database db;
+  db.restore_table("H", rows, delta::DeltaRelation(schema));
+  ASSERT_TRUE(db.table("H").keyed());
+  {
+    auto txn = db.begin();
+    txn.erase("H", rel::TupleId(high));
+    txn.modify("H", rel::TupleId(high + 4096), {Value(10), Value("m")});
+    const rel::TupleId fresh = txn.insert("H", {Value(11), Value("n")});
+    EXPECT_EQ(fresh, rel::TupleId(high + 4096 * 4 + 1));
+    txn.commit();
+  }
+
+  cat::Database restored = persist::load_database(persist::save_database(db));
+  ASSERT_TRUE(restored.table("H").keyed());
+  ASSERT_TRUE(restored.table("H").equal_multiset(db.table("H")));
+  for (const auto& row : db.table("H").rows()) {
+    const rel::Tuple* twin = restored.table("H").find(row.tid());
+    ASSERT_NE(twin, nullptr);
+    EXPECT_TRUE(twin->same_values(row));
+  }
+  EXPECT_FALSE(restored.table("H").contains(rel::TupleId(high)));
+  for (cat::Database* target : {&db, &restored}) {
+    auto txn = target->begin();
+    txn.erase("H", rel::TupleId(high + 4096 * 4 + 1));
+    txn.modify("H", rel::TupleId(high + 4096 * 2), {Value(12), Value("o")});
+    EXPECT_EQ(txn.insert("H", {Value(13), Value("p")}), rel::TupleId(high + 4096 * 4 + 2));
+    txn.commit();
+  }
+  EXPECT_TRUE(restored.table("H").equal_multiset(db.table("H")));
+  EXPECT_THROW(restored.erase("H", rel::TupleId(high)), common::NotFound);
 }
 
 TEST(Snapshot, CorruptInputRejected) {

@@ -304,6 +304,18 @@ std::string stream_digest(const core::CqManager& mgr, const core::CollectingSink
   return os.str();
 }
 
+/// Every row of ΔQ in order, with its tid and weight.
+std::string rows_in_order(const core::DiffResult& d) {
+  std::ostringstream os;
+  for (const rel::Relation* side : {&d.inserted, &d.deleted}) {
+    os << (side == &d.inserted ? "+" : "-") << side->schema().to_string() << '\n';
+    for (const auto& row : side->rows()) {
+      os << row.to_string() << '@' << row.tid().to_string() << 'w' << row.weight() << '\n';
+    }
+  }
+  return os.str();
+}
+
 }  // namespace
 
 DraScriptReport run_dra_oracle_script(const std::uint8_t* data, std::size_t size) {
@@ -437,8 +449,15 @@ DraScriptReport run_dra_oracle_script(const std::uint8_t* data, std::size_t size
     // class dra_differential itself covers).
     const common::Timestamp install_ts = dra_db.clock().now();
     std::optional<rel::Relation> initial_full;
+    // The same class's program, compiled once against the install-time
+    // table sizes, must keep matching a per-call compile as they change.
+    std::optional<qry::SpjProgram> program;
+    common::Timestamp checked_through = install_ts;
+    std::vector<std::string> tables;
+    for (const auto& ref : query.from) tables.push_back(ref.table);
     if (!query.is_aggregate() && !query.distinct) {
       initial_full = core::recompute(query, dra_db);
+      program = qry::compile(query, dra_db);
     }
 
     std::size_t weights_checked = 0;
@@ -502,6 +521,19 @@ DraScriptReport run_dra_oracle_script(const std::uint8_t* data, std::size_t size
               check_unit_weights(dra_mgr, dra_handle, *dra_sink, weights_checked);
           !m.empty()) {
         return fail(report.commits, m);
+      }
+      if (program) {
+        const std::string via_program = rows_in_order(
+            core::dra_differential(*program, dra_db, checked_through, nullptr, nullptr,
+                                   core::snapshot_deltas(dra_db, tables)));
+        const std::string via_query =
+            rows_in_order(core::dra_differential(query, dra_db, checked_through));
+        if (via_program != via_query) {
+          return fail(report.commits, "install-time program vs per-call compile:\n" +
+                                          via_program + "vs\n" + via_query);
+        }
+        ++report.program_checks;
+        checked_through = dra_db.clock().now();
       }
     }
 

@@ -4,7 +4,9 @@
 // databases — one CQ maintained by the DRA, one by full recompute — and
 // asserts after every commit that the two pipelines agree on trigger
 // firing/suppression decisions AND on every delivered result (the paper's
-// Section 4.2 equivalence, mechanized). Shared by the libFuzzer target
+// Section 4.2 equivalence, mechanized). For an SPJ query it also checks
+// after every commit that a DRA program compiled at install time yields
+// the same ΔQ, row for row and in order, as one compiled for that call. Shared by the libFuzzer target
 // fuzz/fuzz_dra_oracle.cpp, the tier-1 corpus replays, and
 // tests/dra_oracle_test.cpp.
 #pragma once
@@ -20,6 +22,10 @@ struct DraScriptReport {
   std::string message;        // first divergence, with commit index + query
   std::size_t commits = 0;    // transactions committed
   std::size_t executions = 0; // CQ executions the script provoked
+  /// Commits after which the ΔQ of a program compiled at install time was
+  /// compared, row for row, with a dra_differential(query, ...) compiled
+  /// then (SPJ queries only).
+  std::size_t program_checks = 0;
   /// Deterministic serialization of the DRA pipeline's full notification
   /// stream plus its final trigger stats. Two runs of the same script are
   /// byte-identical here exactly when they delivered the same results in

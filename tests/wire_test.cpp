@@ -43,7 +43,7 @@ TEST(Wire, ValueRoundTripAllTypes) {
 }
 
 TEST(Wire, RelationRoundTrip) {
-  Relation r(mixed_schema());
+  Relation r = Relation::keyed_table(mixed_schema());
   r.insert(Tuple({Value(1), Value(1.5), Value("a"), Value(true)}, TupleId(10)));
   r.insert(Tuple({Value(2), Value::null(), Value(""), Value(false)}, TupleId(20)));
   const Bytes payload = encode_relation(r);
@@ -64,9 +64,9 @@ TEST(Wire, TupleWeightIsInvisibleOutsideTheDra) {
   EXPECT_EQ(weighted.byte_size(), plain.byte_size());
   EXPECT_EQ(weighted.to_string(), plain.to_string());
 
-  Relation a(mixed_schema());
+  Relation a = Relation::keyed_table(mixed_schema());
   a.insert(plain);
-  Relation b(mixed_schema());
+  Relation b = Relation::keyed_table(mixed_schema());
   b.insert(weighted);
   EXPECT_TRUE(a.equal_multiset(b));
   EXPECT_EQ(a.byte_size(), b.byte_size());
@@ -106,7 +106,7 @@ TEST(Wire, DeltaRoundTripAllKinds) {
 }
 
 TEST(Wire, TruncatedMessageThrows) {
-  Relation r(mixed_schema());
+  Relation r = Relation::keyed_table(mixed_schema());
   r.insert_values({Value(1), Value(1.5), Value("abc"), Value(true)});
   Bytes payload = encode_relation(r);
   payload.resize(payload.size() - 3);
@@ -132,7 +132,7 @@ TEST(Wire, DeltaArityMismatchThrows) {
 TEST(Wire, DeltaBytesSmallerThanSnapshotForSmallChanges) {
   // The quantitative heart of the paper's network argument: encoding a few
   // delta rows must cost far less than re-encoding the whole relation.
-  Relation r(mixed_schema());
+  Relation r = Relation::keyed_table(mixed_schema());
   for (int i = 0; i < 1000; ++i) {
     r.insert_values({Value(i), Value(i * 0.5), Value("payload-" + std::to_string(i)),
                      Value(i % 2 == 0)});
@@ -149,7 +149,7 @@ TEST(Wire, DeltaBytesSmallerThanSnapshotForSmallChanges) {
 TEST(Wire, RandomCorruptionNeverCrashes) {
   // Flip/truncate bytes of valid payloads at random; decoding must either
   // succeed (benign flips) or throw a typed error — never crash or hang.
-  Relation r(mixed_schema());
+  Relation r = Relation::keyed_table(mixed_schema());
   for (int i = 0; i < 50; ++i) {
     r.insert_values({Value(i), Value(i * 0.25), Value("row" + std::to_string(i)),
                      Value(i % 2 == 0)});
