@@ -24,6 +24,13 @@
 // result is patched in place and delivered without a copy (Section 4.2:
 // an execution costs O(|Δ|), not O(|Q|)).
 //
+// BM_AggregateGroups is its aggregate twin: one GROUP BY grp SUM/COUNT CQ
+// over a 20k-row table whose rows fall into 64, 512 or 4096 groups, under
+// the same fixed |Δ| = 8 commits. The CQ patches the touched groups'
+// rows of its delivered aggregate payload instead of rebuilding every
+// group, so cq_exec_us and rows_assembled (payload rows built or patched
+// per execution) should stay flat across the group counts.
+//
 // CI runs this binary under scripts/check_bench.py --strict (the
 // bench-check job): the committed baseline encodes the expected >= 2x
 // ratio between the 1-lane and 4-lane rows via the derived counters.
@@ -35,6 +42,7 @@
 #include "common/lock_profile.hpp"
 #include "common/rng.hpp"
 #include "cq/manager.hpp"
+#include "query/parser.hpp"
 #include "workload/sweep.hpp"
 
 namespace cq::bench {
@@ -266,6 +274,46 @@ BENCHMARK(BM_CompleteResultSize)
     ->Arg(1000)
     ->Arg(10000)
     ->Arg(100000)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(3);
+
+void BM_AggregateGroups(benchmark::State& state) {
+  constexpr std::size_t kGroupCommits = 32;
+  const auto groups = static_cast<std::size_t>(state.range(0));
+  const ObsState obs(/*obs_on=*/false, /*lockprof_on=*/false);
+  common::Rng rng(0xa66 ^ groups);
+  cat::Database db;
+  wl::SweepTable table(db, "S", kRows, groups, rng);
+  core::CqManager manager(db);
+  core::CqSpec spec;
+  spec.name = "by_grp";
+  spec.query =
+      qry::parse_query("SELECT grp, SUM(key) AS total, COUNT(*) AS n FROM S GROUP BY grp");
+  spec.trigger = core::triggers::on_change();
+  const core::CqHandle handle = manager.install(std::move(spec), nullptr);
+  manager.set_eager(true);
+
+  const core::CqStats before = manager.stats(handle);
+  const std::int64_t assembled_before =
+      manager.metrics().get(common::metric::kRowsAssembled);
+  for (auto _ : state) {
+    table.update(kGroupCommits * kUpdatesPerCommit, {}, kUpdatesPerCommit);
+  }
+  const core::CqStats after = manager.stats(handle);
+  const auto executions = static_cast<double>(after.executions - before.executions);
+  state.counters["groups"] = static_cast<double>(groups);
+  state.counters["cq_exec_us"] =
+      static_cast<double>(after.total_exec_ns - before.total_exec_ns) / 1e3 / executions;
+  state.counters["rows_assembled"] =
+      static_cast<double>(manager.metrics().get(common::metric::kRowsAssembled) -
+                          assembled_before) /
+      executions;
+}
+
+BENCHMARK(BM_AggregateGroups)
+    ->Arg(64)
+    ->Arg(512)
+    ->Arg(4096)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(3);
 

@@ -29,6 +29,7 @@ const char* name(Id id) noexcept {
     case kDraTermsEvaluated: return "dra_terms_evaluated";
     case kDraSkippedIrrelevant: return "dra_skipped_irrelevant";
     case kPlansBuilt: return "plans_built";
+    case kRowsAssembled: return "rows_assembled";
     case kIdCount: break;
   }
   return "?";

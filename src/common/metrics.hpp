@@ -49,6 +49,7 @@ enum Id : std::uint16_t {
   kDraTermsEvaluated,
   kDraSkippedIrrelevant,
   kPlansBuilt,
+  kRowsAssembled,
   kIdCount  // sentinel; not a counter
 };
 

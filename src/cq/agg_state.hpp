@@ -40,8 +40,10 @@ class AggregateState {
   /// equals diff(current() before, current() after) row for row.
   DiffResult apply(const DiffResult& delta);
 
-  /// Current aggregate relation; identical (as a multiset) to
-  /// alg::group_aggregate(current SPJ result, group_by, specs).
+  /// Current aggregate relation, one row per group in group-key order;
+  /// identical (as a multiset) to alg::group_aggregate(current SPJ result,
+  /// group_by, specs). Builds every group's row: a CQ calls it only to
+  /// prime or restore its payload, then patches that from apply()'s ΔQ.
   [[nodiscard]] rel::Relation current() const;
 
   /// Schema of current().

@@ -217,6 +217,63 @@ void attach_group_lineage(const AggregateState& state, const DiffResult& raw,
   attach(delta.deleted);
 }
 
+/// Order of two aggregate rows by their group keys, the first `width`
+/// values (AggregateState's group-key order).
+std::strong_ordering compare_groups(const rel::Tuple& a, const rel::Tuple& b,
+                                    std::size_t width) {
+  for (std::size_t i = 0; i < width; ++i) {
+    if (const auto c = a.at(i).compare(b.at(i)); c != 0) return c;
+  }
+  return std::strong_ordering::equal;
+}
+
+/// Patch `payload`, an aggregate relation in group-key order whose first
+/// `width` columns are the group key, with the aggregate-level ΔQ `delta`
+/// (each side in group-key order, at most one row per group). A group on
+/// both sides has its row replaced, one only deleted is erased and one
+/// only inserted is inserted at its key's position, so the payload stays
+/// in group-key order. Returns the rows patched.
+std::size_t patch_groups(Relation& payload, const DiffResult& delta, std::size_t width) {
+  const std::vector<rel::Tuple>& rows = payload.rows();
+  auto position = [&](const rel::Tuple& row) {
+    const auto it = std::lower_bound(
+        rows.begin(), rows.end(), row, [width](const rel::Tuple& a, const rel::Tuple& b) {
+          return compare_groups(a, b, width) < 0;
+        });
+    return static_cast<std::size_t>(it - rows.begin());
+  };
+  const std::vector<rel::Tuple>& del = delta.deleted.rows();
+  const std::vector<rel::Tuple>& ins = delta.inserted.rows();
+  std::size_t d = 0;
+  std::size_t i = 0;
+  std::size_t patched = 0;
+  for (; d < del.size() || i < ins.size(); ++patched) {
+    const std::strong_ordering order =
+        d == del.size()   ? std::strong_ordering::greater
+        : i == ins.size() ? std::strong_ordering::less
+                          : compare_groups(del[d], ins[i], width);
+    if (order > 0) {
+      const std::size_t pos = position(ins[i]);
+      if (pos < rows.size() && compare_groups(rows[pos], ins[i], width) == 0) {
+        throw common::InternalError("aggregate payload already holds an inserted group");
+      }
+      payload.insert_at(pos, rel::Tuple(ins[i++].values()));
+      continue;
+    }
+    const std::size_t pos = position(del[d]);
+    if (pos == rows.size() || !rows[pos].same_values(del[d])) {
+      throw common::InternalError("aggregate payload lacks a deleted group row");
+    }
+    ++d;
+    if (order == 0) {
+      payload.replace_at(pos, rel::Tuple(ins[i++].values()));
+    } else {
+      payload.erase_at(pos);
+    }
+  }
+  return patched;
+}
+
 rel::Relation distinct_from_counts(const rel::TupleBag& counts, const rel::Schema& schema) {
   Relation out(schema);
   counts.for_each([&](const std::vector<rel::Value>& values, std::ptrdiff_t) {
@@ -231,11 +288,13 @@ void ContinualQuery::load_state(std::shared_ptr<Relation> spj) {
   saved_result_.reset();
   result_counts_.reset();
   agg_state_.reset();
+  agg_payload_.reset();
   // ΔQ plumbing needs the previous SPJ result under kRecompute.
   bool keep_spj = spec_.strategy == ExecutionStrategy::kRecompute;
   if (spec_.query.is_aggregate()) {
     agg_state_.emplace(spj->schema(), spec_.query.group_by, spec_.query.aggregates);
     agg_state_->initialize(*spj);
+    agg_payload_ = std::make_shared<Relation>(delivered_aggregate());
   } else if (spec_.query.distinct) {
     result_counts_.emplace();
     for (const auto& row : spj->rows()) result_counts_->add(row, +1);
@@ -257,11 +316,15 @@ Notification ContinualQuery::prime_from_scratch(const cat::Database& db,
   if (!spec_.query.is_aggregate() && !spec_.query.distinct) note.complete = spj;
   load_state(std::move(spj));
   if (spec_.query.is_aggregate()) {
-    note.aggregate = std::make_shared<const Relation>(delivered_aggregate());
+    note.aggregate = agg_payload_;
     note.complete = note.aggregate;
   } else if (spec_.query.distinct) {
     note.complete = std::make_shared<const Relation>(
         distinct_from_counts(*result_counts_, note.delta.inserted.schema()));
+  }
+  if (metrics != nullptr) {
+    metrics->add(common::metric::kRowsAssembled,
+                 static_cast<std::int64_t>(note.complete->size()));
   }
 
   reprime_pending_ = false;
@@ -367,14 +430,17 @@ Notification ContinualQuery::execute(const cat::Database& db,
   // mode (Algorithm 1, step 4) ----
   // A throw part-way leaves the state half-patched: drop it, so the next
   // execution re-primes instead of building on a corrupt result.
+  //
+  // Copy-on-write: a sink that kept the last payload keeps it intact. Only
+  // a holder of the pointer can copy it, so a count of 1 cannot rise under
+  // us.
+  auto own = [](std::shared_ptr<Relation>& payload) {
+    if (payload.use_count() > 1) payload = std::make_shared<Relation>(*payload);
+  };
+  std::size_t assembled = 0;  // payload rows built or patched
   try {
     if (spec_.strategy == ExecutionStrategy::kDra && saved_result_) {
-      // Copy-on-write: a sink that kept the last payload keeps it intact.
-      // Only a holder of the pointer can copy it, so a count of 1 cannot
-      // rise under us.
-      if (saved_result_.use_count() > 1) {
-        saved_result_ = std::make_shared<Relation>(*saved_result_);
-      }
+      own(saved_result_);
       *saved_result_ = apply_diff(std::move(*saved_result_), raw);
     }
     if (spec_.query.is_aggregate()) {
@@ -383,22 +449,35 @@ Notification ContinualQuery::execute(const cat::Database& db,
         note.delta.inserted = alg::select(note.delta.inserted, *spec_.query.having);
         note.delta.deleted = alg::select(note.delta.deleted, *spec_.query.having);
       }
+      own(agg_payload_);
+      assembled =
+          patch_groups(*agg_payload_, note.delta, agg_state_->group_columns().size());
       if (rel::prov::enabled()) attach_group_lineage(*agg_state_, raw, note.delta);
-      note.aggregate = std::make_shared<const Relation>(delivered_aggregate());
+      note.aggregate = agg_payload_;
       if (spec_.mode == DeliveryMode::kComplete) note.complete = note.aggregate;
     } else if (spec_.query.distinct) {
       note.delta = lift_to_distinct(*result_counts_, raw, raw.inserted.schema());
       if (spec_.mode == DeliveryMode::kComplete) {
         note.complete = std::make_shared<const Relation>(
             distinct_from_counts(*result_counts_, raw.inserted.schema()));
+        assembled = note.complete->size();
       }
     } else {
+      if (spec_.mode == DeliveryMode::kComplete) {
+        // The DRA patches the saved result; recompute replaced all of it.
+        assembled = spec_.strategy == ExecutionStrategy::kDra
+                        ? raw.inserted.size() + raw.deleted.size()
+                        : saved_result_->size();
+        note.complete = saved_result_;
+      }
       note.delta = std::move(raw);
-      if (spec_.mode == DeliveryMode::kComplete) note.complete = saved_result_;
     }
   } catch (...) {
     invalidate_saved_result();
     throw;
+  }
+  if (metrics != nullptr) {
+    metrics->add(common::metric::kRowsAssembled, static_cast<std::int64_t>(assembled));
   }
 
   switch (spec_.mode) {

@@ -61,10 +61,11 @@ struct CqSpec {
 ///
 /// The result payloads are shared and immutable. For a plain kComplete CQ,
 /// `complete` points at the CQ's saved result itself rather than at a
-/// copy, so delivering it costs nothing. A sink that wants to keep a
-/// payload keeps the pointer (copying the Notification does); the CQ then
-/// patches a fresh copy at its next execution (copy-on-write), so a kept
-/// payload never changes under it.
+/// copy, and for an aggregate CQ `aggregate` points at its maintained
+/// aggregate relation, so delivering either costs nothing. A sink that
+/// wants to keep a payload keeps the pointer (copying the Notification
+/// does); the CQ then patches a fresh copy at its next execution
+/// (copy-on-write), so a kept payload never changes under it.
 struct Notification {
   std::string cq_name;
   std::uint64_t sequence = 0;  // 0 = initial execution
@@ -74,7 +75,8 @@ struct Notification {
   /// Set for kComplete mode and for the initial execution.
   std::shared_ptr<const rel::Relation> complete;
   /// Set for aggregate queries: the maintained aggregate relation (HAVING
-  /// applied). In kComplete mode `complete` points at the same relation.
+  /// applied), one row per group in group-key order. In kComplete mode
+  /// `complete` points at the same relation.
   std::shared_ptr<const rel::Relation> aggregate;
 };
 
@@ -133,6 +135,12 @@ class ContinualQuery {
     return saved_result_.get();
   }
 
+  /// The aggregate accumulators of an aggregate CQ, or null (not an
+  /// aggregate query, or dropped until the next re-prime).
+  [[nodiscard]] const AggregateState* aggregate_state() const noexcept {
+    return agg_state_ ? &*agg_state_ : nullptr;
+  }
+
   /// Initial execution E_0 (complete re-evaluation by definition).
   [[nodiscard]] Notification execute_initial(const cat::Database& db,
                                              common::Metrics* metrics = nullptr);
@@ -176,6 +184,7 @@ class ContinualQuery {
     saved_result_.reset();
     result_counts_.reset();
     agg_state_.reset();
+    agg_payload_.reset();
     reprime_pending_ = true;
   }
 
@@ -206,7 +215,9 @@ class ContinualQuery {
  private:
   [[nodiscard]] TriggerContext context(const cat::Database& db,
                                        const delta::SnapshotMap& snapshots) const;
-  /// The aggregate relation as the user sees it (HAVING applied).
+  /// The aggregate relation as the user sees it (HAVING applied), built
+  /// from every group. Only priming and restore build it; executions
+  /// patch agg_payload_ instead.
   [[nodiscard]] rel::Relation delivered_aggregate() const;
   /// Rebuild the per-mode state (aggregate accumulators, DISTINCT counts,
   /// saved result) from the SPJ core result `spj`, keeping the pointer
@@ -241,6 +252,11 @@ class ContinualQuery {
   /// diffs without recomputation.
   std::optional<rel::TupleBag> result_counts_;
   std::optional<AggregateState> agg_state_;
+  /// The delivered aggregate relation (HAVING applied, group-key order),
+  /// kept beside agg_state_. Each execution patches the rows of the groups
+  /// its aggregate-level ΔQ touches (copy-on-write, like saved_result_);
+  /// shared with the notification that delivered it.
+  std::shared_ptr<rel::Relation> agg_payload_;
 };
 
 }  // namespace cq::core

@@ -228,6 +228,36 @@ void Relation::append(Tuple tuple) {
   rows_.push_back(std::move(tuple));
 }
 
+void Relation::require_positional(const char* op, std::size_t pos,
+                                  std::size_t limit) const {
+  if (keyed_ || by_tid_) {
+    throw common::InvalidArgument(std::string("Relation::") + op +
+                                  " needs a relation without a tid index");
+  }
+  if (pos >= limit) {
+    throw common::InvalidArgument(std::string("Relation::") + op + " out of range");
+  }
+}
+
+void Relation::replace_at(std::size_t pos, Tuple tuple) {
+  require_positional("replace_at", pos, rows_.size());
+  check_arity(tuple);
+  next_tid_ = std::max(next_tid_, tuple.tid().raw() + 1);
+  rows_[pos] = std::move(tuple);
+}
+
+void Relation::insert_at(std::size_t pos, Tuple tuple) {
+  require_positional("insert_at", pos, rows_.size() + 1);
+  check_arity(tuple);
+  next_tid_ = std::max(next_tid_, tuple.tid().raw() + 1);
+  rows_.insert(rows_.begin() + static_cast<std::ptrdiff_t>(pos), std::move(tuple));
+}
+
+void Relation::erase_at(std::size_t pos) {
+  require_positional("erase_at", pos, rows_.size());
+  rows_.erase(rows_.begin() + static_cast<std::ptrdiff_t>(pos));
+}
+
 bool Relation::remove_one_by_value(const Tuple& values) {
   if (by_tid_) sync_tid_index();
   for (std::size_t i = 0; i < rows_.size(); ++i) {

@@ -164,6 +164,16 @@ class Relation {
   /// stores it; on a keyed table a fresh tid also gets its slot.
   void append(Tuple tuple);
 
+  /// Position-addressed edits of a derived relation that keeps no tid
+  /// index, for payloads held in a fixed row order (an aggregate CQ's
+  /// groups, in group-key order): replace row `pos`, insert before row
+  /// `pos` (`pos == size()` appends), or erase row `pos`. Every other row
+  /// keeps its relative order. Throw InvalidArgument on a keyed table, on
+  /// one whose tid index remove_one built, or when `pos` is out of range.
+  void replace_at(std::size_t pos, Tuple tuple);
+  void insert_at(std::size_t pos, Tuple tuple);
+  void erase_at(std::size_t pos);
+
   /// Remove one occurrence of a row with exactly these values (any tid).
   /// Returns false when no such row exists.
   bool remove_one_by_value(const Tuple& values);
@@ -197,6 +207,9 @@ class Relation {
   void check_arity(const Tuple& t) const;
   /// Throws InvalidArgument unless this is a keyed table.
   void require_keyed(const char* op) const;
+  /// Throws InvalidArgument unless this relation keeps no tid index and
+  /// `pos` < `limit`.
+  void require_positional(const char* op, std::size_t pos, std::size_t limit) const;
   /// Keyed: point `tid`'s slot at row `row`.
   void set_slot(TupleId tid, std::size_t row);
   /// The row index `tid` is indexed at (in whichever index this relation

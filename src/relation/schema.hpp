@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -24,6 +25,13 @@ struct Attribute {
 };
 
 /// An ordered list of attributes with O(1) name lookup.
+///
+/// A schema is an immutable value: the attributes and both lookup maps
+/// live in one shared, const representation built by the constructor, so
+/// copying a schema (and with it making or copying a relation) is a
+/// reference-count increment, and concurrent readers of one schema share
+/// it without a lock. A default-constructed or moved-from schema is the
+/// empty schema.
 class Schema {
  public:
   Schema() = default;
@@ -32,11 +40,17 @@ class Schema {
   /// Convenience builder: Schema::of({{"name", kString}, {"price", kInt}}).
   [[nodiscard]] static Schema of(std::initializer_list<Attribute> attributes);
 
-  [[nodiscard]] std::size_t size() const noexcept { return attributes_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return attributes_.empty(); }
+  [[nodiscard]] std::size_t size() const noexcept { return attributes().size(); }
+  [[nodiscard]] bool empty() const noexcept { return attributes().empty(); }
   [[nodiscard]] const Attribute& at(std::size_t i) const;
   [[nodiscard]] const std::vector<Attribute>& attributes() const noexcept {
-    return attributes_;
+    return rep_ ? rep_->attributes : kNoAttributes;
+  }
+
+  /// True when both schemas share one representation (one is a copy of
+  /// the other). Shared schemas are equal; equal ones need not share.
+  [[nodiscard]] bool shares(const Schema& other) const noexcept {
+    return rep_ == other.rep_;
   }
 
   /// Index of the attribute with this name. Accepts either the exact stored
@@ -72,18 +86,24 @@ class Schema {
   /// (names may differ). Required by union/difference (Section 4.2 Diff).
   [[nodiscard]] bool union_compatible(const Schema& other) const noexcept;
 
-  bool operator==(const Schema& other) const { return attributes_ == other.attributes_; }
+  bool operator==(const Schema& other) const {
+    return shares(other) || attributes() == other.attributes();
+  }
 
   [[nodiscard]] std::string to_string() const;
 
  private:
-  void rebuild_lookup();
-
-  std::vector<Attribute> attributes_;
-  std::unordered_map<std::string, std::size_t> by_name_;
-  // bare suffix -> index, or npos if ambiguous
-  std::unordered_map<std::string, std::size_t> by_suffix_;
+  struct Rep {
+    std::vector<Attribute> attributes;
+    std::unordered_map<std::string, std::size_t> by_name;
+    // bare suffix -> index, or kAmbiguous
+    std::unordered_map<std::string, std::size_t> by_suffix;
+  };
   static constexpr std::size_t kAmbiguous = static_cast<std::size_t>(-1);
+  static const std::vector<Attribute> kNoAttributes;
+
+  /// Null for the empty schema.
+  std::shared_ptr<const Rep> rep_;
 };
 
 /// Strip a "qualifier." prefix if present.

@@ -9,6 +9,8 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cq/dra.hpp"
@@ -285,39 +287,74 @@ TEST(DraOracle, CorpusReplayIsByteIdenticalAcrossThreadCounts) {
   EXPECT_GT(replayed, 0u);
 }
 
-/// A CQ's DRA program is compiled once, against the table sizes of its
-/// install. Over the corpus and 300 random scripts, after every commit the
-/// script interpreter compares that program's ΔQ with one from
-/// dra_differential(query, ...), which compiles for the call: row for row,
-/// tids and weights included, in the same order.
-TEST(DraOracle, InstallTimeProgramMatchesPerCallCompile) {
+/// The checked-in dra_oracle corpus and regressions, keyed by file name,
+/// followed by `rounds` random scripts from `seed` (keyed "random N").
+std::vector<std::pair<std::string, std::vector<std::uint8_t>>> oracle_scripts(
+    std::uint64_t seed, int rounds) {
   namespace fs = std::filesystem;
-  std::vector<std::vector<std::uint8_t>> scripts;
+  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> scripts;
   for (const char* kind : {"corpus", "regressions"}) {
     const fs::path dir = fs::path(CQ_FUZZ_DIR) / kind / "dra_oracle";
     if (!fs::is_directory(dir)) continue;
     for (const auto& entry : fs::directory_iterator(dir)) {
       if (!entry.is_regular_file() || entry.path().filename().string()[0] == '.') continue;
       std::ifstream in(entry.path(), std::ios::binary);
-      scripts.emplace_back((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
+      scripts.emplace_back(entry.path().filename().string(),
+                           std::vector<std::uint8_t>((std::istreambuf_iterator<char>(in)),
+                                                     std::istreambuf_iterator<char>()));
     }
   }
-  ASSERT_FALSE(scripts.empty());
-  common::Rng rng(0x9a0c);
-  for (int round = 0; round < 300; ++round) {
+  common::Rng rng(seed);
+  for (int round = 0; round < rounds; ++round) {
     std::vector<std::uint8_t> script(256 + rng.index(512));
     for (auto& b : script) b = static_cast<std::uint8_t>(rng.index(256));
-    scripts.push_back(std::move(script));
+    scripts.emplace_back("random " + std::to_string(round), std::move(script));
   }
+  return scripts;
+}
+
+/// A CQ's DRA program is compiled once, against the table sizes of its
+/// install. Over the corpus and 300 random scripts, after every commit the
+/// script interpreter compares that program's ΔQ with one from
+/// dra_differential(query, ...), which compiles for the call: row for row,
+/// tids and weights included, in the same order.
+TEST(DraOracle, InstallTimeProgramMatchesPerCallCompile) {
+  const auto scripts = oracle_scripts(0x9a0c, 300);
+  ASSERT_GT(scripts.size(), 300u);
   std::size_t checks = 0;
-  for (std::size_t i = 0; i < scripts.size(); ++i) {
+  for (const auto& [name, script] : scripts) {
     const testing::DraScriptReport r =
-        testing::run_dra_oracle_script(scripts[i].data(), scripts[i].size());
-    ASSERT_TRUE(r.ok) << "script " << i << ": " << r.message;
+        testing::run_dra_oracle_script(script.data(), script.size());
+    ASSERT_TRUE(r.ok) << name << ": " << r.message;
     checks += r.program_checks;
   }
   EXPECT_GT(checks, 1000u);  // the comparison must cover real commits
+}
+
+/// An aggregate CQ patches its delivered payload in place from each
+/// execution's aggregate-level ΔQ. Over the corpus and 300 random scripts,
+/// at install and after every commit the interpreter compares that payload
+/// with the CQ's accumulators rebuilt from scratch (current(), HAVING
+/// applied), row for row and in group-key order. The corpus's agg_* cases
+/// (scripts/make_agg_oracle_cases.py) make groups appear and vanish, flip
+/// HAVING both ways, delete MIN/MAX extremes and run an ungrouped
+/// aggregate: each is checked at install and after every commit.
+TEST(DraOracle, AggregatePayloadMatchesItsAccumulators) {
+  std::size_t checks = 0;
+  std::size_t agg_cases = 0;
+  for (const auto& [name, script] : oracle_scripts(0xa66a, 300)) {
+    const testing::DraScriptReport r =
+        testing::run_dra_oracle_script(script.data(), script.size());
+    ASSERT_TRUE(r.ok) << name << ": " << r.message;
+    checks += r.payload_checks;
+    if (name.starts_with("agg_")) {
+      ++agg_cases;
+      EXPECT_GT(r.commits, 3u) << name;
+      EXPECT_EQ(r.payload_checks, r.commits + 1) << name;
+    }
+  }
+  EXPECT_EQ(agg_cases, 4u);
+  EXPECT_GT(checks, 500u);  // the comparison must cover real commits
 }
 
 /// Lineage lane: with provenance collection on, sequential and 4-lane runs

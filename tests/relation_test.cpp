@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -35,6 +36,34 @@ TEST(Relation, InsertEraseUpdateByTid) {
   EXPECT_EQ(removed.at(0).as_int(), 1);
   EXPECT_FALSE(r.contains(a));
   EXPECT_EQ(r.size(), 1u);
+}
+
+TEST(Relation, PositionalEditsKeepTheOrderOfOtherRows) {
+  Relation r(two_cols());
+  for (int k : {1, 3, 5}) r.append(Tuple({Value(k), Value("x")}));
+  r.insert_at(1, Tuple({Value(2), Value("x")}));
+  r.insert_at(4, Tuple({Value(6), Value("x")}));  // == size(): appends
+  r.replace_at(2, Tuple({Value(3), Value("y")}));
+  r.erase_at(0);
+  std::vector<std::string> rows;
+  for (const auto& t : r.rows()) rows.push_back(t.to_string());
+  EXPECT_EQ(rows, (std::vector<std::string>{Tuple({Value(2), Value("x")}).to_string(),
+                                            Tuple({Value(3), Value("y")}).to_string(),
+                                            Tuple({Value(5), Value("x")}).to_string(),
+                                            Tuple({Value(6), Value("x")}).to_string()}));
+  EXPECT_THROW(r.erase_at(4), common::InvalidArgument);
+  EXPECT_THROW(r.insert_at(5, Tuple({Value(7), Value("x")})), common::InvalidArgument);
+  EXPECT_THROW(r.replace_at(0, Tuple({Value(7)})), common::SchemaMismatch);
+
+  // Position-addressed edits would invalidate a tid index.
+  Relation keyed = Relation::keyed_table(two_cols());
+  (void)keyed.insert_values({Value(1), Value("x")});
+  EXPECT_THROW(keyed.erase_at(0), common::InvalidArgument);
+  Relation indexed(two_cols());
+  indexed.append(Tuple({Value(1), Value("x")}, TupleId(1)));
+  indexed.append(Tuple({Value(2), Value("x")}, TupleId(2)));
+  EXPECT_TRUE(indexed.remove_one(Tuple({Value(1), Value("x")}, TupleId(1))));
+  EXPECT_THROW(indexed.replace_at(0, Tuple({Value(3), Value("x")})), common::InvalidArgument);
 }
 
 TEST(Relation, EraseKeepsIndexConsistent) {

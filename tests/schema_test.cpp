@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "common/error.hpp"
+#include "relation/relation.hpp"
 
 namespace cq::rel {
 namespace {
@@ -91,6 +98,74 @@ TEST(Schema, UnionCompatibility) {
 
 TEST(Schema, ToString) {
   EXPECT_EQ(stocks().to_string(), "(name:STRING, price:INT)");
+}
+
+TEST(Schema, CopySharesItsRepresentation) {
+  const Schema a = stocks();
+  const Schema b = a;  // NOLINT(performance-unnecessary-copy-initialization)
+  EXPECT_TRUE(b.shares(a));
+  EXPECT_EQ(&b.attributes(), &a.attributes());
+  const Relation r(a);
+  EXPECT_TRUE(Relation(r).schema().shares(a));  // copying a relation copies no schema
+}
+
+TEST(Schema, MovedFromSchemaIsEmptyAndCanBeReassigned) {
+  Schema a = stocks();
+  const Schema b = std::move(a);
+  // NOLINTBEGIN(bugprone-use-after-move): a moved-from schema is specified empty
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(a.size(), 0u);
+  EXPECT_FALSE(a.find("price").has_value());
+  EXPECT_THROW((void)a.index_of("price"), common::NotFound);
+  EXPECT_EQ(a, Schema());
+  EXPECT_EQ(a.to_string(), "()");
+  a = stocks().qualified("S");
+  // NOLINTEND(bugprone-use-after-move)
+  EXPECT_EQ(a.index_of("price"), 1u);
+  EXPECT_EQ(a.at(0).name, "S.name");
+  EXPECT_EQ(b, stocks());
+}
+
+TEST(Schema, SeparatelyBuiltSchemasCompareEqual) {
+  const Schema a = stocks();
+  const Schema b = stocks();
+  EXPECT_FALSE(a.shares(b));
+  EXPECT_EQ(a, b);
+  EXPECT_NE(a, stocks().qualified("S"));
+  EXPECT_NE(a, Schema());
+  EXPECT_EQ(Schema(), Schema(std::vector<Attribute>{}));
+}
+
+TEST(Schema, ConcurrentCopiesLookupsAndDestruction) {
+  // Four threads copy one schema, look names up through the copies and
+  // drop them, all at once; the last of them to finish frees the shared
+  // representation. Run under TSan this checks that the sharing is
+  // race-free.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 2000;
+  auto original = std::make_unique<Schema>(stocks().qualified("S"));
+  std::vector<Schema> seeds(kThreads, *original);
+  std::atomic<int> ready{0};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, seed = std::move(seeds[t])]() mutable {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int i = 0; i < kRounds; ++i) {
+        const Schema copy = seed;
+        const Relation r(copy);
+        if (copy.index_of("price") != 1 || r.schema().index_of("S.name") != 0 ||
+            !copy.shares(seed) || !(r.schema() == seed)) {
+          wrong.fetch_add(1);
+        }
+      }
+      seed = Schema();  // drop this thread's reference
+    });
+  }
+  original.reset();
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 TEST(BareName, StripsQualifier) {

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "algebra/ops.hpp"
 #include "catalog/database.hpp"
 #include "catalog/transaction.hpp"
 #include "common/clock.hpp"
@@ -64,6 +65,11 @@ std::vector<Value> random_t_row(ByteReader& in) {
 
 // A predicate over the (possibly qualified) S columns. `q` is the column
 // qualifier prefix ("" or "s.").
+//
+// Every choice is read in its own statement, never two in one call's
+// arguments: C++ leaves the order of argument evaluation open (GCC and
+// Clang differ), and an input must decode to the same script under the
+// clang-built fuzzer that finds it and the GCC-built replay that keeps it.
 alg::ExprPtr random_predicate(ByteReader& in, const std::string& q, int depth) {
   using alg::CmpOp;
   using alg::Expr;
@@ -80,7 +86,8 @@ alg::ExprPtr random_predicate(ByteReader& in, const std::string& q, int depth) {
     case 0: {
       static constexpr CmpOp kOps[] = {CmpOp::kEq, CmpOp::kNe, CmpOp::kLt,
                                        CmpOp::kLe, CmpOp::kGt, CmpOp::kGe};
-      return Expr::col_cmp(q + "price", kOps[in.index(std::size(kOps))],
+      const CmpOp op = kOps[in.index(std::size(kOps))];
+      return Expr::col_cmp(q + "price", op,
                            Value(static_cast<std::int64_t>(in.range(0, 400))));
     }
     case 1: {
@@ -88,21 +95,23 @@ alg::ExprPtr random_predicate(ByteReader& in, const std::string& q, int depth) {
       return Expr::between(Expr::col(q + "qty"), Value(static_cast<std::int64_t>(lo)),
                            Value(static_cast<std::int64_t>(lo + in.range(0, 10))));
     }
-    case 2:
-      return Expr::in_list(Expr::col(q + "category"),
-                           {Value(kCategories[in.index(kCategoryCount)]),
-                            Value(kCategories[in.index(kCategoryCount)])},
-                           in.flip());
+    case 2: {
+      std::vector<Value> list{Value(kCategories[in.index(kCategoryCount)]),
+                              Value(kCategories[in.index(kCategoryCount)])};
+      return Expr::in_list(Expr::col(q + "category"), std::move(list), in.flip());
+    }
     case 3:
       return Expr::like_prefix(Expr::col(q + "category"),
                                std::string(1, "rgb"[in.index(3)]));
     case 4: return Expr::is_null(Expr::col(q + "price"), in.flip());
-    default:
+    default: {
       // Arithmetic inside a comparison: price + qty <op> k.
-      return Expr::cmp(in.flip() ? CmpOp::kGt : CmpOp::kLe,
+      const CmpOp op = in.flip() ? CmpOp::kGt : CmpOp::kLe;
+      return Expr::cmp(op,
                        Expr::arith(alg::ArithOp::kAdd, Expr::col(q + "price"),
                                    Expr::col(q + "qty")),
                        Expr::lit(Value(static_cast<std::int64_t>(in.range(0, 420)))));
+    }
   }
 }
 
@@ -139,8 +148,9 @@ qry::SpjQuery random_query(ByteReader& in, bool& uses_t) {
       query.aggregates.push_back({kind, column, "a" + std::to_string(i)});
     }
     if (in.index(3) == 0) {
-      query.having = Expr::col_cmp("a0", in.flip() ? alg::CmpOp::kGe : alg::CmpOp::kLt,
-                                   Value(static_cast<std::int64_t>(in.range(0, 200))));
+      const alg::CmpOp op = in.flip() ? alg::CmpOp::kGe : alg::CmpOp::kLt;
+      query.having =
+          Expr::col_cmp("a0", op, Value(static_cast<std::int64_t>(in.range(0, 200))));
     }
     if (!query.group_by.empty() && in.flip()) {
       query.order_by = {{"category", in.flip()}};
@@ -256,6 +266,36 @@ std::string check_unit_weights(const core::CqManager& mgr, core::CqHandle handle
     return "saved result holds a row of weight != 1";
   }
   return {};
+}
+
+/// The aggregate payload oracle: the `aggregate` payload of the latest
+/// notification, which the CQ patches in place from each execution's
+/// aggregate-level ΔQ, must equal the CQ's accumulators rebuilt from
+/// scratch (current(), HAVING applied), row for row and in group-key
+/// order. Counts a check in `checks` when there is a live aggregate CQ
+/// with a delivered payload to compare. Empty string = equal.
+std::string check_aggregate_payload(const core::CqManager& mgr, core::CqHandle handle,
+                                    const core::CollectingSink& sink,
+                                    const qry::SpjQuery& query, std::size_t& checks) {
+  const auto stats = mgr.cq_stats();
+  const auto it = stats.find("cq");
+  if (it == stats.end() || it->second.finished || sink.notifications().empty()) return {};
+  const core::AggregateState* state = mgr.cq(handle).aggregate_state();
+  if (state == nullptr) return {};
+  const core::Notification& last = sink.notifications().back();
+  if (last.aggregate == nullptr) return "aggregate CQ delivered no aggregate payload";
+  rel::Relation expected = state->current();
+  if (query.having) expected = alg::select(expected, *query.having);
+  ++checks;
+  const auto& got = last.aggregate->rows();
+  bool same = got.size() == expected.size();
+  for (std::size_t i = 0; same && i < got.size(); ++i) {
+    same = got[i].same_values(expected.row(i));
+  }
+  if (same) return {};
+  return "aggregate payload diverged from its accumulators:\npayload " +
+         last.aggregate->to_string(got.size()) + "\ncurrent() " +
+         expected.to_string(expected.size());
 }
 
 /// One line per delta row: its sorted provenance set as
@@ -469,6 +509,11 @@ DraScriptReport run_dra_oracle_script(const std::uint8_t* data, std::size_t size
         !m.empty()) {
       return fail(0, m);
     }
+    if (const auto m = check_aggregate_payload(dra_mgr, dra_handle, *dra_sink, query,
+                                               report.payload_checks);
+        !m.empty()) {
+      return fail(0, m);
+    }
 
     // The transaction script.
     while (!in.empty() && report.commits < kMaxCommits) {
@@ -519,6 +564,11 @@ DraScriptReport run_dra_oracle_script(const std::uint8_t* data, std::size_t size
       }
       if (const auto m =
               check_unit_weights(dra_mgr, dra_handle, *dra_sink, weights_checked);
+          !m.empty()) {
+        return fail(report.commits, m);
+      }
+      if (const auto m = check_aggregate_payload(dra_mgr, dra_handle, *dra_sink, query,
+                                                 report.payload_checks);
           !m.empty()) {
         return fail(report.commits, m);
       }

@@ -6,7 +6,11 @@
 // firing/suppression decisions AND on every delivered result (the paper's
 // Section 4.2 equivalence, mechanized). For an SPJ query it also checks
 // after every commit that a DRA program compiled at install time yields
-// the same ΔQ, row for row and in order, as one compiled for that call. Shared by the libFuzzer target
+// the same ΔQ, row for row and in order, as one compiled for that call.
+// For an aggregate query it checks after every commit that the delivered
+// aggregate payload, which the CQ patches in place, equals its
+// accumulators' current() with HAVING applied, row for row and in
+// group-key order. Shared by the libFuzzer target
 // fuzz/fuzz_dra_oracle.cpp, the tier-1 corpus replays, and
 // tests/dra_oracle_test.cpp.
 #pragma once
@@ -26,6 +30,10 @@ struct DraScriptReport {
   /// compared, row for row, with a dra_differential(query, ...) compiled
   /// then (SPJ queries only).
   std::size_t program_checks = 0;
+  /// Checks (at install and after each commit) that an aggregate CQ's
+  /// latest delivered `aggregate` payload equals AggregateState::current()
+  /// with HAVING applied, row for row and in group-key order.
+  std::size_t payload_checks = 0;
   /// Deterministic serialization of the DRA pipeline's full notification
   /// stream plus its final trigger stats. Two runs of the same script are
   /// byte-identical here exactly when they delivered the same results in
