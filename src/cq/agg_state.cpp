@@ -27,9 +27,6 @@ AggregateState::AggregateState(rel::Schema spj_schema, std::vector<std::string> 
       group_by_(std::move(group_by)),
       specs_(std::move(specs)),
       out_schema_(alg::aggregate_output_schema(spj_schema_, group_by_, specs_)) {
-  if (specs_.empty()) {
-    throw common::InvalidArgument("AggregateState: at least one aggregate required");
-  }
   for (const auto& g : group_by_) group_idx_.push_back(spj_schema_.index_of(g));
   for (const auto& s : specs_) {
     if (!s.column.empty() && s.column != "*") {

@@ -8,6 +8,10 @@
 //   SUM / COUNT / AVG: running sums and counts;
 //   MIN / MAX:         a per-group ordered multiset of values (deletions
 //                      may expose the second-smallest/-largest).
+// With no aggregates the state is SELECT DISTINCT: group by every output
+// column, and a group's row (its key) appears when its row count rises
+// from zero and vanishes when it falls back; counts moving between
+// positive values emit nothing.
 #pragma once
 
 #include <cstdint>

@@ -39,8 +39,8 @@ CqSpec CqSpec::from_sql(std::string name, const std::string& sql, TriggerPtr tri
 
 namespace {
 /// The SPJ query the DRA maintains for `query`: ordering is presentation
-/// only, DISTINCT is lifted from the multiset result, and an aggregate's
-/// groups and HAVING are computed over the full joined rows.
+/// only, and DISTINCT and an aggregate's groups and HAVING are computed
+/// over the multiset result (AggregateState).
 qry::SpjQuery spj_core_of(const qry::SpjQuery& query) {
   qry::SpjQuery core = query;
   core.distinct = false;
@@ -73,12 +73,6 @@ ContinualQuery::ContinualQuery(CqSpec spec, const cat::Database& db)
     }
   }
   program_ = qry::compile(spj_core_of(spec_.query), db);
-}
-
-rel::Relation ContinualQuery::delivered_aggregate() const {
-  Relation out = agg_state_->current();
-  if (spec_.query.having) out = alg::select(out, *spec_.query.having);
-  return out;
 }
 
 TriggerContext ContinualQuery::context(const cat::Database& db,
@@ -151,43 +145,12 @@ std::string ContinualQuery::explain(const cat::Database& db) const {
 
 namespace {
 
-/// Lift a multiset SPJ-level diff to DISTINCT level, updating `counts` to
-/// the post-diff multiplicities. A distinct row is inserted when its count
-/// rises from zero and deleted when it falls to zero.
-DiffResult lift_to_distinct(rel::TupleBag& counts, const DiffResult& raw,
-                            const rel::Schema& schema) {
-  DiffResult out;
-  out.inserted = Relation(schema);
-  out.deleted = Relation(schema);
-  for (const auto& row : raw.deleted.rows()) {
-    counts.add(row, -1);
-    const auto remaining = counts.count(row);
-    if (remaining < 0) {
-      throw common::InternalError("distinct maintenance: negative multiplicity");
-    }
-    if (remaining == 0) {
-      rel::Tuple lifted(row.values());
-      lifted.set_prov(row.prov());
-      out.deleted.append(std::move(lifted));
-    }
-  }
-  for (const auto& row : raw.inserted.rows()) {
-    const auto before = counts.count(row);
-    counts.add(row, +1);
-    if (before == 0) {
-      rel::Tuple lifted(row.values());
-      lifted.set_prov(row.prov());
-      out.inserted.append(std::move(lifted));
-    }
-  }
-  return out;
-}
-
-/// Attach to each aggregate delta row the union of the lineage sets of the
-/// raw ΔQ rows that landed in its group: the aggregate output's first
+/// Attach to each grouped delta row the union of the lineage sets of the
+/// raw ΔQ rows that landed in its group: the grouped output's first
 /// |group_by| columns are the group key (AggregateState::group_columns
 /// documents the layout), and every raw SPJ row keys its group at those
-/// source columns.
+/// source columns. A DISTINCT row's key is the whole row, so it cites every
+/// base row that moved its value's multiplicity.
 void attach_group_lineage(const AggregateState& state, const DiffResult& raw,
                           DiffResult& delta) {
   const std::vector<std::size_t>& group_cols = state.group_columns();
@@ -227,8 +190,8 @@ std::strong_ordering compare_groups(const rel::Tuple& a, const rel::Tuple& b,
   return std::strong_ordering::equal;
 }
 
-/// Patch `payload`, an aggregate relation in group-key order whose first
-/// `width` columns are the group key, with the aggregate-level ΔQ `delta`
+/// Patch `payload`, a grouped relation in group-key order whose first
+/// `width` columns are the group key, with the group-level ΔQ `delta`
 /// (each side in group-key order, at most one row per group). A group on
 /// both sides has its row replaced, one only deleted is erased and one
 /// only inserted is inserted at its key's position, so the payload stays
@@ -255,14 +218,14 @@ std::size_t patch_groups(Relation& payload, const DiffResult& delta, std::size_t
     if (order > 0) {
       const std::size_t pos = position(ins[i]);
       if (pos < rows.size() && compare_groups(rows[pos], ins[i], width) == 0) {
-        throw common::InternalError("aggregate payload already holds an inserted group");
+        throw common::InternalError("grouped payload already holds an inserted group");
       }
       payload.insert_at(pos, rel::Tuple(ins[i++].values()));
       continue;
     }
     const std::size_t pos = position(del[d]);
     if (pos == rows.size() || !rows[pos].same_values(del[d])) {
-      throw common::InternalError("aggregate payload lacks a deleted group row");
+      throw common::InternalError("grouped payload lacks a deleted group row");
     }
     ++d;
     if (order == 0) {
@@ -274,30 +237,30 @@ std::size_t patch_groups(Relation& payload, const DiffResult& delta, std::size_t
   return patched;
 }
 
-rel::Relation distinct_from_counts(const rel::TupleBag& counts, const rel::Schema& schema) {
-  Relation out(schema);
-  counts.for_each([&](const std::vector<rel::Value>& values, std::ptrdiff_t) {
-    out.append(rel::Tuple(values));
-  });
-  return out;
-}
-
 }  // namespace
 
 void ContinualQuery::load_state(std::shared_ptr<Relation> spj) {
   saved_result_.reset();
-  result_counts_.reset();
   agg_state_.reset();
   agg_payload_.reset();
+  const qry::SpjQuery& query = spec_.query;
   // ΔQ plumbing needs the previous SPJ result under kRecompute.
   bool keep_spj = spec_.strategy == ExecutionStrategy::kRecompute;
-  if (spec_.query.is_aggregate()) {
-    agg_state_.emplace(spj->schema(), spec_.query.group_by, spec_.query.aggregates);
+  if (query.is_aggregate() || query.distinct) {
+    // DISTINCT groups by every output column and computes no aggregate.
+    std::vector<std::string> group_by = query.group_by;
+    if (!query.is_aggregate()) {
+      for (const auto& attribute : spj->schema().attributes()) {
+        group_by.push_back(attribute.name);
+      }
+    }
+    agg_state_.emplace(spj->schema(), std::move(group_by), query.aggregates);
     agg_state_->initialize(*spj);
-    agg_payload_ = std::make_shared<Relation>(delivered_aggregate());
-  } else if (spec_.query.distinct) {
-    result_counts_.emplace();
-    for (const auto& row : spj->rows()) result_counts_->add(row, +1);
+    if (query.is_aggregate() || spec_.mode == DeliveryMode::kComplete) {
+      Relation payload = agg_state_->current();
+      if (query.having) payload = alg::select(payload, *query.having);
+      agg_payload_ = std::make_shared<Relation>(std::move(payload));
+    }
   } else {
     keep_spj = keep_spj || spec_.mode == DeliveryMode::kComplete;
   }
@@ -313,14 +276,13 @@ Notification ContinualQuery::prime_from_scratch(const cat::Database& db,
   note.cq_name = spec_.name;
   note.delta.inserted = Relation(spj->schema());
   note.delta.deleted = Relation(spj->schema());
-  if (!spec_.query.is_aggregate() && !spec_.query.distinct) note.complete = spj;
+  note.complete = spj;
   load_state(std::move(spj));
-  if (spec_.query.is_aggregate()) {
-    note.aggregate = agg_payload_;
-    note.complete = note.aggregate;
-  } else if (spec_.query.distinct) {
-    note.complete = std::make_shared<const Relation>(
-        distinct_from_counts(*result_counts_, note.delta.inserted.schema()));
+  if (agg_state_) {
+    // A DISTINCT CQ outside kComplete keeps no payload: build this one.
+    note.complete = agg_payload_ ? agg_payload_
+                                 : std::make_shared<const Relation>(agg_state_->current());
+    if (spec_.query.is_aggregate()) note.aggregate = agg_payload_;
   }
   if (metrics != nullptr) {
     metrics->add(common::metric::kRowsAssembled,
@@ -335,10 +297,8 @@ Notification ContinualQuery::prime_from_scratch(const cat::Database& db,
 
 bool ContinualQuery::needs_reprime() const noexcept {
   if (reprime_pending_) return true;
-  if (spec_.query.is_aggregate()) {
+  if (spec_.query.is_aggregate() || spec_.query.distinct) {
     if (!agg_state_) return true;
-  } else if (spec_.query.distinct) {
-    if (!result_counts_) return true;
   } else if (spec_.mode == DeliveryMode::kComplete && !saved_result_) {
     return true;
   }
@@ -443,25 +403,20 @@ Notification ContinualQuery::execute(const cat::Database& db,
       own(saved_result_);
       *saved_result_ = apply_diff(std::move(*saved_result_), raw);
     }
-    if (spec_.query.is_aggregate()) {
+    if (agg_state_) {
       note.delta = agg_state_->apply(raw);
       if (spec_.query.having) {
         note.delta.inserted = alg::select(note.delta.inserted, *spec_.query.having);
         note.delta.deleted = alg::select(note.delta.deleted, *spec_.query.having);
       }
-      own(agg_payload_);
-      assembled =
-          patch_groups(*agg_payload_, note.delta, agg_state_->group_columns().size());
-      if (rel::prov::enabled()) attach_group_lineage(*agg_state_, raw, note.delta);
-      note.aggregate = agg_payload_;
-      if (spec_.mode == DeliveryMode::kComplete) note.complete = note.aggregate;
-    } else if (spec_.query.distinct) {
-      note.delta = lift_to_distinct(*result_counts_, raw, raw.inserted.schema());
-      if (spec_.mode == DeliveryMode::kComplete) {
-        note.complete = std::make_shared<const Relation>(
-            distinct_from_counts(*result_counts_, raw.inserted.schema()));
-        assembled = note.complete->size();
+      if (agg_payload_) {
+        own(agg_payload_);
+        assembled =
+            patch_groups(*agg_payload_, note.delta, agg_state_->group_columns().size());
       }
+      if (rel::prov::enabled()) attach_group_lineage(*agg_state_, raw, note.delta);
+      if (spec_.query.is_aggregate()) note.aggregate = agg_payload_;
+      if (spec_.mode == DeliveryMode::kComplete) note.complete = agg_payload_;
     } else {
       if (spec_.mode == DeliveryMode::kComplete) {
         // The DRA patches the saved result; recompute replaced all of it.

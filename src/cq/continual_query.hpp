@@ -66,6 +66,10 @@ struct CqSpec {
 /// wants to keep a payload keeps the pointer (copying the Notification
 /// does); the CQ then patches a fresh copy at its next execution
 /// (copy-on-write), so a kept payload never changes under it.
+///
+/// A DISTINCT CQ is maintained as a grouping by every output column: its
+/// `complete` payload holds one row per value in ascending value order,
+/// and each side of its `delta` comes in that order too.
 struct Notification {
   std::string cq_name;
   std::uint64_t sequence = 0;  // 0 = initial execution
@@ -135,8 +139,8 @@ class ContinualQuery {
     return saved_result_.get();
   }
 
-  /// The aggregate accumulators of an aggregate CQ, or null (not an
-  /// aggregate query, or dropped until the next re-prime).
+  /// The grouped state of an aggregate or DISTINCT CQ, or null (neither,
+  /// or dropped until the next re-prime).
   [[nodiscard]] const AggregateState* aggregate_state() const noexcept {
     return agg_state_ ? &*agg_state_ : nullptr;
   }
@@ -175,14 +179,13 @@ class ContinualQuery {
   void mark_finished() noexcept { finished_ = true; }
 
   /// Drop every maintained per-mode artifact (saved previous result,
-  /// DISTINCT multiplicities, aggregate state). The next execution then
+  /// grouped state and its payload). The next execution then
   /// *re-primes*: one full recompute delivered as a complete result with
   /// an empty delta — instead of throwing "recompute strategy lost its
   /// saved result" the way stale state used to. restore() calls this
   /// automatically when GC truncated the rollback window it needs.
   void invalidate_saved_result() noexcept {
     saved_result_.reset();
-    result_counts_.reset();
     agg_state_.reset();
     agg_payload_.reset();
     reprime_pending_ = true;
@@ -215,13 +218,10 @@ class ContinualQuery {
  private:
   [[nodiscard]] TriggerContext context(const cat::Database& db,
                                        const delta::SnapshotMap& snapshots) const;
-  /// The aggregate relation as the user sees it (HAVING applied), built
-  /// from every group. Only priming and restore build it; executions
-  /// patch agg_payload_ instead.
-  [[nodiscard]] rel::Relation delivered_aggregate() const;
-  /// Rebuild the per-mode state (aggregate accumulators, DISTINCT counts,
+  /// Rebuild the per-mode state (grouped state and its payload, or the
   /// saved result) from the SPJ core result `spj`, keeping the pointer
-  /// itself as the saved result when the mode needs one.
+  /// itself as the saved result when the mode needs one. Only priming and
+  /// restore build the payload from every group; executions patch it.
   void load_state(std::shared_ptr<rel::Relation> spj);
   /// Full recompute + per-mode state rebuild; shared by execute_initial
   /// and the re-prime path. Fills everything in the notification except
@@ -248,14 +248,14 @@ class ContinualQuery {
   /// execution (replaced under kRecompute); shared with the notification
   /// that delivered it.
   std::shared_ptr<rel::Relation> saved_result_;
-  /// Multiset counts of the SPJ core result, used to derive DISTINCT-level
-  /// diffs without recomputation.
-  std::optional<rel::TupleBag> result_counts_;
+  /// The grouped state of an aggregate CQ, or of a DISTINCT CQ as GROUP BY
+  /// every output column with no aggregates.
   std::optional<AggregateState> agg_state_;
-  /// The delivered aggregate relation (HAVING applied, group-key order),
-  /// kept beside agg_state_. Each execution patches the rows of the groups
-  /// its aggregate-level ΔQ touches (copy-on-write, like saved_result_);
-  /// shared with the notification that delivered it.
+  /// The delivered grouped relation (HAVING applied, group-key order),
+  /// kept beside agg_state_ where it is delivered: always for an aggregate
+  /// CQ, in kComplete mode for a DISTINCT one. Each execution patches the
+  /// rows of the groups its group-level ΔQ touches (copy-on-write, like
+  /// saved_result_); shared with the notification that delivered it.
   std::shared_ptr<rel::Relation> agg_payload_;
 };
 

@@ -59,8 +59,8 @@ class CqManager {
   CqHandle install(CqSpec spec, std::shared_ptr<ResultSink> sink);
 
   /// Re-install a CQ recovered from a persisted deployment: no initial
-  /// execution or notification; runtime state (saved result, aggregate
-  /// accumulators, DISTINCT counts) is reconstructed from the database via
+  /// execution or notification; runtime state (saved result, aggregate or
+  /// DISTINCT grouped state) is reconstructed from the database via
   /// ContinualQuery::restore, and the delta zone registers at
   /// `last_execution` so garbage collection keeps the rows it still needs.
   CqHandle install_restored(CqSpec spec, std::shared_ptr<ResultSink> sink,

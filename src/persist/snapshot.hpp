@@ -4,7 +4,7 @@
 // deployment can stop and resume without re-running initial executions or
 // losing unconsumed deltas.
 //
-// CQ derived state (saved results, aggregate accumulators, DISTINCT counts)
+// CQ derived state (saved results, aggregate and DISTINCT grouped state)
 // is deliberately *not* serialized: on restore it is reconstructed from the
 // snapshot database by running the DRA in reverse
 // (ContinualQuery::restore), which both keeps the format small and

@@ -241,7 +241,7 @@ class Relation {
 /// field values alone. Tids, weights and lineage never take part in a
 /// lookup, and lookups hash the probe row in place (only a new value copies
 /// its fields into the map). Serves multiset equality, DiffResult
-/// consolidation and equivalence, and DISTINCT multiplicities.
+/// consolidation and equivalence, and alg::distinct.
 class TupleBag {
  public:
   /// One value's accumulated weight, plus the lineage sets folded into it.
@@ -259,11 +259,6 @@ class TupleBag {
   [[nodiscard]] std::ptrdiff_t count(const Tuple& t) const;
   /// True when every weight is zero.
   [[nodiscard]] bool all_zero() const;
-  /// Visit every (values, weight) pair (unspecified order).
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (const auto& [values, entry] : weights_) fn(values, entry.weight);
-  }
 
  private:
   static const std::vector<Value>& values_of(const std::vector<Value>& v) noexcept {

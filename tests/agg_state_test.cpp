@@ -283,6 +283,30 @@ TEST(AggregateStateDelta, HavingCrossesItsThresholdBothWays) {
   EXPECT_EQ(n.delta.deleted.size(), 1u);
 }
 
+/// With no aggregates the state is DISTINCT over its group columns: a
+/// value's row count moving 1 -> 2 or 2 -> 1 emits nothing, 0 -> 1 (or
+/// 0 -> 2) and 1 -> 0 emit one side, and each side comes in key order.
+TEST(AggregateStateDelta, ZeroAggregatesIsDistinct) {
+  AggregateState state(sales_schema(), {"region", "amount"}, {});
+  state.initialize(Relation(sales_schema(), {row("w", 5), row("e", 10)}));
+  EXPECT_TRUE(state.output_schema() == sales_schema());
+
+  DiffResult d = apply_and_check(state, sales_delta({row("w", 5)}, {}));  // 1 -> 2
+  EXPECT_TRUE(d.empty());
+  d = apply_and_check(state, sales_delta({}, {row("w", 5)}));  // 2 -> 1
+  EXPECT_TRUE(d.empty());
+
+  d = apply_and_check(state, sales_delta({row("w", 1), row("a", 7), row("e", 3),
+                                          row("g", 2), row("g", 2)},
+                                         {row("e", 10)}));
+  expect_same_rows(d.inserted, Relation(sales_schema(), {row("a", 7), row("e", 3),
+                                                         row("g", 2), row("w", 1)}));
+  expect_same_rows(d.deleted, Relation(sales_schema(), {row("e", 10)}));
+  expect_same_rows(state.current(),
+                   Relation(sales_schema(), {row("a", 7), row("e", 3), row("g", 2),
+                                             row("w", 1), row("w", 5)}));
+}
+
 /// Randomized property sweep: apply K random diffs, compare with recompute.
 class AggStateSweep : public ::testing::TestWithParam<std::uint64_t> {};
 

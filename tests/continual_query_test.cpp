@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "algebra/aggregate.hpp"
 #include "catalog/transaction.hpp"
 #include "common/error.hpp"
@@ -603,14 +605,18 @@ TEST(ContinualQuery, IndexCreatedAfterInstallIsProbed) {
   expect_same_delta(on_plain.execute(plain), second);
 }
 
-/// The paper's claim, checked for the aggregate payload: an execution
+/// The paper's claim, checked for the grouped payloads: an execution
 /// builds or patches payload rows in proportion to |ΔQ|, not to the number
 /// of groups. The same 8-row Δ over 64 and over 4096 groups touches 8
-/// groups either way: one appears, one vanishes, six change.
+/// aggregate groups either way: one appears, one vanishes, six change.
+/// Under DISTINCT the six only raise a value's multiplicity 1 -> 2, so a
+/// complete payload patches 2 rows and the other modes keep none.
 TEST(ContinualQuery, AggregatePayloadWorkFollowsTheDeltaNotTheGroups) {
-  const std::string sql =
+  const std::string aggregate_sql =
       "SELECT grp, SUM(val) AS total, COUNT(*) AS n FROM T GROUP BY grp";
-  auto rows_assembled = [&](std::int64_t groups, DeliveryMode mode) {
+  const std::string distinct_sql = "SELECT DISTINCT grp FROM T";
+  auto rows_assembled = [&](const std::string& sql, std::int64_t groups,
+                            DeliveryMode mode) {
     cat::Database db;
     db.create_table("T", rel::Schema::of({{"grp", ValueType::kInt},
                                           {"val", ValueType::kInt}}));
@@ -630,15 +636,33 @@ TEST(ContinualQuery, AggregatePayloadWorkFollowsTheDeltaNotTheGroups) {
     txn.commit();
     common::Metrics metrics;
     const Notification n = cq.execute(db, &metrics);
-    EXPECT_EQ(n.aggregate->size(), static_cast<std::size_t>(groups));
-    EXPECT_TRUE(n.aggregate->equal_multiset(qry::evaluate(qry::parse_query(sql), db)));
+    const Relation expected = qry::evaluate(qry::parse_query(sql), db);
+    const Relation* payload = sql == distinct_sql ? n.complete.get() : n.aggregate.get();
+    EXPECT_EQ(payload != nullptr, sql == aggregate_sql || mode == DeliveryMode::kComplete);
+    if (payload != nullptr) {
+      EXPECT_EQ(payload->size(), static_cast<std::size_t>(groups));
+      EXPECT_TRUE(payload->equal_multiset(expected));
+      const auto& rows = payload->rows();
+      const auto unsorted =
+          std::adjacent_find(rows.begin(), rows.end(), [](const Tuple& a, const Tuple& b) {
+            return a.at(0).compare(b.at(0)) >= 0;
+          });
+      EXPECT_TRUE(unsorted == rows.end())
+          << "not strictly ascending at row " << (unsorted - rows.begin());
+    }
     return metrics.get(common::metric::kRowsAssembled);
   };
-  for (const DeliveryMode mode : {DeliveryMode::kDifferential, DeliveryMode::kComplete}) {
-    SCOPED_TRACE(to_string(mode));
-    const std::int64_t small = rows_assembled(64, mode);
-    EXPECT_EQ(small, 8);
-    EXPECT_EQ(rows_assembled(4096, mode), small);
+  for (const std::string& sql : {aggregate_sql, distinct_sql}) {
+    for (const DeliveryMode mode :
+         {DeliveryMode::kInsertionsOnly, DeliveryMode::kDeletionsOnly,
+          DeliveryMode::kDifferential, DeliveryMode::kComplete}) {
+      SCOPED_TRACE(sql + " / " + to_string(mode));
+      const std::int64_t small = rows_assembled(sql, 64, mode);
+      const std::int64_t expected =
+          sql == aggregate_sql ? 8 : (mode == DeliveryMode::kComplete ? 2 : 0);
+      EXPECT_EQ(small, expected);
+      EXPECT_EQ(rows_assembled(sql, 4096, mode), small);
+    }
   }
 }
 

@@ -75,6 +75,11 @@ INSTANTIATE_TEST_SUITE_P(
         SweepParam{207, "SELECT DISTINCT category FROM S", "distinct_category"},
         SweepParam{208, "SELECT DISTINCT category, qty FROM S WHERE price > 200",
                    "distinct_pair"},
+        // Two output columns with one bare name: DISTINCT groups by both.
+        SweepParam{211,
+                   "SELECT DISTINCT a.category, b.category FROM S a, S b "
+                   "WHERE a.qty = b.qty",
+                   "distinct_self_join"},
         SweepParam{209, "SELECT id, price FROM S WHERE price BETWEEN 100 AND 500",
                    "plain_band"},
         SweepParam{210, "SELECT * FROM S WHERE category = 'tech' AND qty > 50",

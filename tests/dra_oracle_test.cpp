@@ -332,29 +332,45 @@ TEST(DraOracle, InstallTimeProgramMatchesPerCallCompile) {
 }
 
 /// An aggregate CQ patches its delivered payload in place from each
-/// execution's aggregate-level ΔQ. Over the corpus and 300 random scripts,
-/// at install and after every commit the interpreter compares that payload
-/// with the CQ's accumulators rebuilt from scratch (current(), HAVING
-/// applied), row for row and in group-key order. The corpus's agg_* cases
+/// execution's aggregate-level ΔQ, and a DISTINCT CQ, maintained as a
+/// grouping with no aggregates, patches its complete payload the same way.
+/// Over the corpus and 300 random scripts, with lineage off and on, at
+/// install and after every commit the interpreter compares an aggregate
+/// payload with the CQ's accumulators rebuilt from scratch (current(),
+/// HAVING applied), row for row and in group-key order, and a freshly
+/// delivered DISTINCT payload with qry::evaluate (same multiset, no
+/// duplicate, ascending). The corpus's agg_* cases
 /// (scripts/make_agg_oracle_cases.py) make groups appear and vanish, flip
 /// HAVING both ways, delete MIN/MAX extremes and run an ungrouped
-/// aggregate: each is checked at install and after every commit.
+/// aggregate; its distinct_* cases make values appear and vanish, move two
+/// multiplicities 2 -> 0 and 0 -> 2 in one commit, and run DISTINCT over
+/// S ⋈ T, all in complete mode. Each is checked at install and after every
+/// commit.
 TEST(DraOracle, AggregatePayloadMatchesItsAccumulators) {
-  std::size_t checks = 0;
-  std::size_t agg_cases = 0;
-  for (const auto& [name, script] : oracle_scripts(0xa66a, 300)) {
-    const testing::DraScriptReport r =
-        testing::run_dra_oracle_script(script.data(), script.size());
-    ASSERT_TRUE(r.ok) << name << ": " << r.message;
-    checks += r.payload_checks;
-    if (name.starts_with("agg_")) {
-      ++agg_cases;
-      EXPECT_GT(r.commits, 3u) << name;
-      EXPECT_EQ(r.payload_checks, r.commits + 1) << name;
+  const auto scripts = oracle_scripts(0xa66a, 300);
+  for (const bool lineage : {false, true}) {
+    SCOPED_TRACE(lineage ? "lineage on" : "lineage off");
+    std::size_t checks = 0;
+    std::size_t agg_cases = 0;
+    std::size_t distinct_cases = 0;
+    for (const auto& [name, script] : scripts) {
+      const testing::DraScriptReport r = testing::run_dra_oracle_script(
+          script.data(), script.size(), {.lineage = lineage});
+      ASSERT_TRUE(r.ok) << name << ": " << r.message;
+      checks += r.payload_checks;
+      const bool agg = name.starts_with("agg_");
+      const bool distinct = name.starts_with("distinct_");
+      agg_cases += agg ? 1 : 0;
+      distinct_cases += distinct ? 1 : 0;
+      if (agg || distinct) {
+        EXPECT_GT(r.commits, 3u) << name;
+        EXPECT_EQ(r.payload_checks, r.commits + 1) << name;
+      }
     }
+    EXPECT_EQ(agg_cases, 4u);
+    EXPECT_EQ(distinct_cases, 3u);
+    EXPECT_GT(checks, 500u);  // the comparison must cover real commits
   }
-  EXPECT_EQ(agg_cases, 4u);
-  EXPECT_GT(checks, 500u);  // the comparison must cover real commits
 }
 
 /// Lineage lane: with provenance collection on, sequential and 4-lane runs

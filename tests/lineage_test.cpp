@@ -158,6 +158,51 @@ TEST_F(LineageTest, AggregateLineageCitesPerGroupDeltas) {
   }
 }
 
+/// DISTINCT CQ, hand-computed: DISTINCT is a grouping by every output
+/// column, so a value inserted by two base rows in one commit cites both,
+/// and a later commit that only raises a multiplicity delivers no row.
+TEST_F(LineageTest, DistinctLineageCitesEveryRowOfTheValue) {
+  cat::Database db;
+  db.create_table("S", rel::Schema::of({{"category", rel::ValueType::kString},
+                                        {"price", rel::ValueType::kInt}}));
+  CqManager mgr(db);
+  mgr.set_lineage(true, 8);
+  auto sink = std::make_shared<CollectingSink>();
+  (void)mgr.install(CqSpec::from_sql("kinds", "SELECT DISTINCT category FROM S",
+                                     core::triggers::on_change()),
+                    sink);
+
+  {
+    // Commit 1 (t=1): red lands twice (ΔS seq 0 and 2), blue once (seq 1).
+    auto txn = db.begin();
+    txn.insert("S", {Value("red"), Value(std::int64_t{10})});
+    txn.insert("S", {Value("blue"), Value(std::int64_t{5})});
+    txn.insert("S", {Value("red"), Value(std::int64_t{20})});
+    txn.commit();
+  }
+  ASSERT_EQ(mgr.poll(), 1u);
+  // Commit 2 (t=2): a third red row; red's multiplicity goes 2 -> 3.
+  db.insert("S", {Value("red"), Value(std::int64_t{7})});
+  ASSERT_EQ(mgr.poll(), 1u);
+
+  const std::vector<LineageRecord> records = mgr.lineage().tail("kinds", 8);
+  ASSERT_EQ(records.size(), 3u);
+
+  // Notification #1: blue, then red (ascending), each inserted once.
+  ASSERT_EQ(records[1].rows.size(), 2u);
+  EXPECT_TRUE(records[1].rows[0].inserted);
+  EXPECT_NE(records[1].rows[0].row.find("blue"), std::string::npos)
+      << records[1].rows[0].row;
+  expect_sources(records[1].rows[0], {id_of("S", 1, 1)});
+  EXPECT_TRUE(records[1].rows[1].inserted);
+  EXPECT_NE(records[1].rows[1].row.find("red"), std::string::npos)
+      << records[1].rows[1].row;
+  expect_sources(records[1].rows[1], {id_of("S", 1, 0), id_of("S", 1, 2)});
+
+  // Notification #2: the distinct set did not change.
+  EXPECT_TRUE(records[2].rows.empty());
+}
+
 /// Every citation in every retained record must resolve to a physical row
 /// in the delta log with exactly that (txn, seq) identity.
 TEST_F(LineageTest, CitedDeltaRowsExistInDeltaLog) {

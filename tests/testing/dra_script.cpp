@@ -1,6 +1,7 @@
 #include "testing/dra_script.hpp"
 
 #include <algorithm>
+#include <compare>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -16,6 +17,7 @@
 #include "cq/manager.hpp"
 #include "cq/propagate.hpp"
 #include "query/ast.hpp"
+#include "query/evaluate.hpp"
 #include "relation/provenance.hpp"
 #include "relation/schema.hpp"
 #include "relation/value.hpp"
@@ -268,21 +270,50 @@ std::string check_unit_weights(const core::CqManager& mgr, core::CqHandle handle
   return {};
 }
 
-/// The aggregate payload oracle: the `aggregate` payload of the latest
-/// notification, which the CQ patches in place from each execution's
-/// aggregate-level ΔQ, must equal the CQ's accumulators rebuilt from
-/// scratch (current(), HAVING applied), row for row and in group-key
-/// order. Counts a check in `checks` when there is a live aggregate CQ
-/// with a delivered payload to compare. Empty string = equal.
-std::string check_aggregate_payload(const core::CqManager& mgr, core::CqHandle handle,
-                                    const core::CollectingSink& sink,
-                                    const qry::SpjQuery& query, std::size_t& checks) {
+/// The grouped payload oracle, run at install and after every commit;
+/// counts each comparison in `checks`. Empty string = equal.
+///   * An aggregate CQ's `aggregate` payload in the latest notification,
+///     which the CQ patches in place from each execution's aggregate-level
+///     ΔQ, must equal the CQ's accumulators rebuilt from scratch
+///     (current(), HAVING applied), row for row and in group-key order.
+///   * A DISTINCT CQ's `complete` payload, when the latest notification
+///     carries one and arrived since the previous check (`seen` counts the
+///     notifications checked so far), so that it reflects `db` as it is
+///     now, must equal qry::evaluate(query) as a multiset, hold no
+///     duplicate row and come in ascending value order.
+std::string check_grouped_payload(const cat::Database& db, const core::CqManager& mgr,
+                                  core::CqHandle handle, const core::CollectingSink& sink,
+                                  const qry::SpjQuery& query, std::size_t& seen,
+                                  std::size_t& checks) {
+  const auto& notifs = sink.notifications();
+  const bool fresh = notifs.size() > seen;
+  seen = notifs.size();
   const auto stats = mgr.cq_stats();
   const auto it = stats.find("cq");
-  if (it == stats.end() || it->second.finished || sink.notifications().empty()) return {};
+  if (it == stats.end() || it->second.finished || notifs.empty()) return {};
+  const core::Notification& last = notifs.back();
+  if (!query.is_aggregate()) {
+    if (!query.distinct || !fresh || last.complete == nullptr) return {};
+    ++checks;
+    const rel::Relation expected = qry::evaluate(query, db);
+    const auto& got = last.complete->rows();
+    std::string error;
+    if (!last.complete->equal_multiset(expected)) error = "differs from a fresh evaluation";
+    for (std::size_t i = 1; error.empty() && i < got.size(); ++i) {
+      std::strong_ordering order = std::strong_ordering::equal;
+      for (std::size_t c = 0; order == 0 && c < got[i].size(); ++c) {
+        order = got[i - 1].at(c).compare(got[i].at(c));
+      }
+      if (order == 0) error = "holds a duplicate row";
+      if (order > 0) error = "is not in ascending order";
+    }
+    if (error.empty()) return {};
+    return "DISTINCT payload " + error + ":\npayload " +
+           last.complete->to_string(got.size()) + "\nevaluate " +
+           expected.to_string(expected.size());
+  }
   const core::AggregateState* state = mgr.cq(handle).aggregate_state();
   if (state == nullptr) return {};
-  const core::Notification& last = sink.notifications().back();
   if (last.aggregate == nullptr) return "aggregate CQ delivered no aggregate payload";
   rel::Relation expected = state->current();
   if (query.having) expected = alg::select(expected, *query.having);
@@ -509,8 +540,9 @@ DraScriptReport run_dra_oracle_script(const std::uint8_t* data, std::size_t size
         !m.empty()) {
       return fail(0, m);
     }
-    if (const auto m = check_aggregate_payload(dra_mgr, dra_handle, *dra_sink, query,
-                                               report.payload_checks);
+    std::size_t payloads_seen = 0;
+    if (const auto m = check_grouped_payload(dra_db, dra_mgr, dra_handle, *dra_sink, query,
+                                             payloads_seen, report.payload_checks);
         !m.empty()) {
       return fail(0, m);
     }
@@ -567,8 +599,8 @@ DraScriptReport run_dra_oracle_script(const std::uint8_t* data, std::size_t size
           !m.empty()) {
         return fail(report.commits, m);
       }
-      if (const auto m = check_aggregate_payload(dra_mgr, dra_handle, *dra_sink, query,
-                                                 report.payload_checks);
+      if (const auto m = check_grouped_payload(dra_db, dra_mgr, dra_handle, *dra_sink,
+                                               query, payloads_seen, report.payload_checks);
           !m.empty()) {
         return fail(report.commits, m);
       }

@@ -10,7 +10,9 @@
 // For an aggregate query it checks after every commit that the delivered
 // aggregate payload, which the CQ patches in place, equals its
 // accumulators' current() with HAVING applied, row for row and in
-// group-key order. Shared by the libFuzzer target
+// group-key order; for a DISTINCT query, that each freshly delivered
+// complete payload equals a fresh evaluation as a multiset, with no
+// duplicate row, in ascending value order. Shared by the libFuzzer target
 // fuzz/fuzz_dra_oracle.cpp, the tier-1 corpus replays, and
 // tests/dra_oracle_test.cpp.
 #pragma once
@@ -32,7 +34,9 @@ struct DraScriptReport {
   std::size_t program_checks = 0;
   /// Checks (at install and after each commit) that an aggregate CQ's
   /// latest delivered `aggregate` payload equals AggregateState::current()
-  /// with HAVING applied, row for row and in group-key order.
+  /// with HAVING applied, row for row and in group-key order, plus checks
+  /// that a DISTINCT CQ's freshly delivered `complete` payload equals
+  /// qry::evaluate(query) as a multiset, duplicate-free and ascending.
   std::size_t payload_checks = 0;
   /// Deterministic serialization of the DRA pipeline's full notification
   /// stream plus its final trigger stats. Two runs of the same script are
