@@ -49,8 +49,10 @@ void configure(benchmark::internal::Benchmark* b) {
   b->Unit(benchmark::kMicrosecond);
 }
 
-BENCHMARK(BM_DraSelection)->Apply(configure);
-BENCHMARK(BM_RecomputeSelection)->Apply(configure);
+// Fixed iteration counts: the registry counters in --stats-json sum over
+// every iteration, so they stay a function of the code, not of host speed.
+BENCHMARK(BM_DraSelection)->Apply(configure)->Iterations(200);
+BENCHMARK(BM_RecomputeSelection)->Apply(configure)->Iterations(10);
 
 }  // namespace
 }  // namespace cq::bench

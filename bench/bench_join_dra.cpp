@@ -45,8 +45,11 @@ void join_args(benchmark::internal::Benchmark* b) {
   b->Unit(benchmark::kMicrosecond);
 }
 
-BENCHMARK(BM_DraJoin)->Apply(join_args);
-BENCHMARK(BM_RecomputeJoin)->Apply(join_args);
+// Every row runs a fixed iteration count: the registry counters in
+// --stats-json sum over every iteration, so they stay a function of the
+// code, not of host speed.
+BENCHMARK(BM_DraJoin)->Apply(join_args)->Iterations(20);
+BENCHMARK(BM_RecomputeJoin)->Apply(join_args)->Iterations(3);
 
 /// Persistent-index extension: with a maintained index on the join column,
 /// unchanged-side inputs are *probed* rather than scanned, so the DRA's
@@ -81,8 +84,8 @@ void base_size_args(benchmark::internal::Benchmark* b) {
   b->Unit(benchmark::kMicrosecond);
 }
 
-BENCHMARK(BM_DraJoinIndexed)->Apply(base_size_args);
-BENCHMARK(BM_DraJoinScan)->Apply(base_size_args);
+BENCHMARK(BM_DraJoinIndexed)->Apply(base_size_args)->Iterations(100);
+BENCHMARK(BM_DraJoinScan)->Apply(base_size_args)->Iterations(10);
 
 /// Index-probed join terms cost per *surviving* row: at fixed |Δ| (T0's
 /// updates, no filter on it) and fixed fan-out (~32 T1 rows per group),
@@ -116,7 +119,7 @@ void BM_DraJoinIndexedSelective(benchmark::State& state) {
 }
 
 BENCHMARK(BM_DraJoinIndexedSelective)->Arg(100)->Arg(10)->Arg(1)
-    ->Unit(benchmark::kMicrosecond);
+    ->Unit(benchmark::kMicrosecond)->Iterations(10);
 
 /// Both sides of an unindexed 2-way join changed (k = 2), each delta
 /// holding inserts, deletes and modifications (arg = updates per table).
@@ -143,7 +146,8 @@ void BM_DraJoinMixedDeltas(benchmark::State& state) {
   state.counters["result_rows"] = static_cast<double>(result_rows);
 }
 
-BENCHMARK(BM_DraJoinMixedDeltas)->Arg(150)->Arg(1000)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_DraJoinMixedDeltas)->Arg(150)->Arg(1000)->Unit(benchmark::kMicrosecond)
+    ->Iterations(10);
 
 }  // namespace
 }  // namespace cq::bench

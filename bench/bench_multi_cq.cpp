@@ -83,7 +83,6 @@ std::unique_ptr<MultiCqWorkload> make_workload(std::size_t threads) {
                                  rel::Value(lo + wl::kSweepKeySpace / 25));
     spec.query = std::move(q);
     spec.trigger = core::triggers::on_change();
-    spec.strategy = core::ExecutionStrategy::kDra;
     spec.mode = core::DeliveryMode::kComplete;
     w->manager->install(std::move(spec), nullptr);
   }

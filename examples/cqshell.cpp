@@ -89,6 +89,26 @@ const char* kHelp = R"(commands:
   TABLES | SHOW <table> | DELTA <table> | CQS
   HELP | QUIT)";
 
+/// A SELECT result as text. Relation::to_string lists rows sorted by
+/// value; a query with ORDER BY keeps its result order, in the same layout.
+std::string result_text(const qry::SpjQuery& query, const rel::Relation& out) {
+  if (query.order_by.empty()) return out.to_string();
+  constexpr std::size_t kMaxRows = 50;
+  std::ostringstream os;
+  os << out.schema().to_string() << " [" << out.size() << " rows]\n";
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (i == kMaxRows) {
+      os << "  ...\n";
+      break;
+    }
+    const rel::Tuple& r = out.row(i);
+    os << "  " << r.to_string();
+    if (r.tid().valid()) os << " @tid=" << r.tid().to_string();
+    os << "\n";
+  }
+  return os.str();
+}
+
 class Shell {
  public:
   Shell()
@@ -144,8 +164,8 @@ class Shell {
     } else if (cmd == "DELETE") {
       do_delete(args);
     } else if (cmd == "SELECT") {
-      const rel::Relation out = qry::evaluate(qry::parse_query(line), *db_);
-      std::cout << out.to_string();
+      const qry::SpjQuery query = qry::parse_query(line);
+      std::cout << result_text(query, qry::evaluate(query, *db_));
     } else if (cmd == "INSTALL") {
       do_install(args);
     } else if (cmd == "POLL") {

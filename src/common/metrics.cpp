@@ -35,34 +35,10 @@ const char* name(Id id) noexcept {
   return "?";
 }
 
-Id from_name(const std::string& name_text) noexcept {
-  for (std::uint16_t i = 0; i < kIdCount; ++i) {
-    const Id id = static_cast<Id>(i);
-    if (name_text == name(id)) return id;
-  }
-  return kIdCount;
-}
-
 }  // namespace metric
 
-void Metrics::add(const std::string& name, std::int64_t delta) {
-  const metric::Id id = metric::from_name(name);
-  if (id != metric::kIdCount) {
-    add(id, delta);
-  } else {
-    custom_[name] += delta;
-  }
-}
-
-std::int64_t Metrics::get(const std::string& name) const noexcept {
-  const metric::Id id = metric::from_name(name);
-  if (id != metric::kIdCount) return get(id);
-  auto it = custom_.find(name);
-  return it == custom_.end() ? 0 : it->second;
-}
-
 std::map<std::string, std::int64_t> Metrics::all() const {
-  std::map<std::string, std::int64_t> out = custom_;
+  std::map<std::string, std::int64_t> out;
   for (std::uint16_t i = 0; i < metric::kIdCount; ++i) {
     const auto id = static_cast<metric::Id>(i);
     if (wellknown_[i] != 0) out[metric::name(id)] = wellknown_[i];
@@ -72,7 +48,6 @@ std::map<std::string, std::int64_t> Metrics::all() const {
 
 void Metrics::merge(const Metrics& other) {
   for (std::size_t i = 0; i < wellknown_.size(); ++i) wellknown_[i] += other.wellknown_[i];
-  for (const auto& [name, value] : other.custom_) custom_[name] += value;
 }
 
 std::string Metrics::to_string() const {

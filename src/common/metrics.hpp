@@ -2,17 +2,16 @@
 // network to account for work done (rows scanned, bytes shipped, ...).
 // Benchmarks read these to report the paper's cost quantities directly.
 //
-// Well-known counters are pre-interned: metric::Id is an enum indexing a
-// flat array, so hot-path `add(metric::kRowsScanned, n)` is one array
-// store — no string hashing or map lookup. The string-keyed API remains
-// for ad-hoc counters (slow path, ordered map).
+// Every counter is pre-interned: metric::Id is an enum indexing a flat
+// array, so hot-path `add(metric::kRowsScanned, n)` is one array store —
+// no string hashing or map lookup.
 //
-// Thread safety: a Metrics bag is NOT internally synchronized. The engine
-// is single-threaded by design (the mediator sync loop, the CQ manager and
-// the benches all run on one thread); callers that share a bag across
-// threads must synchronize externally. The trace collector — which *is*
-// shared by observability consumers — carries its own mutex (see
-// observability.hpp).
+// Thread safety: a Metrics bag is NOT internally synchronized; one thread
+// fills a bag at a time. Parallel CQ evaluation lanes each fill their own
+// bag (the manager's per-outcome `local` bag), and the manager merges
+// those bags into the shared one under its stats mutex. The trace
+// collector — which *is* shared by observability consumers — carries its
+// own mutex (see observability.hpp).
 #pragma once
 
 #include <array>
@@ -56,8 +55,6 @@ enum Id : std::uint16_t {
 /// Canonical spelling of a well-known counter ("rows_scanned", ...).
 [[nodiscard]] const char* name(Id id) noexcept;
 
-/// Reverse lookup; returns kIdCount when `name` is not well-known.
-[[nodiscard]] Id from_name(const std::string& name) noexcept;
 }  // namespace metric
 
 /// A named bag of monotonically increasing counters.
@@ -68,29 +65,19 @@ class Metrics {
     wellknown_[static_cast<std::size_t>(id)] += delta;
   }
 
-  /// Add delta to the named counter (creating it at zero). Resolves
-  /// well-known names to their interned slot so both APIs agree.
-  void add(const std::string& name, std::int64_t delta = 1);
-
   /// Current value of a well-known counter.
   [[nodiscard]] std::int64_t get(metric::Id id) const noexcept {
     return wellknown_[static_cast<std::size_t>(id)];
   }
 
-  /// Current value by name, or 0 if never touched.
-  [[nodiscard]] std::int64_t get(const std::string& name) const noexcept;
-
-  /// All non-zero counters in name order (well-known and custom merged).
+  /// All non-zero counters in name order.
   [[nodiscard]] std::map<std::string, std::int64_t> all() const;
 
   /// Fold every counter of `other` into this bag.
   void merge(const Metrics& other);
 
   /// Reset every counter to zero.
-  void reset() noexcept {
-    wellknown_.fill(0);
-    custom_.clear();
-  }
+  void reset() noexcept { wellknown_.fill(0); }
 
   /// Human-readable dump: one `name=value` line per non-zero counter,
   /// sorted by name — deterministic across runs for scripted consumers
@@ -99,7 +86,6 @@ class Metrics {
 
  private:
   std::array<std::int64_t, metric::kIdCount> wellknown_{};
-  std::map<std::string, std::int64_t> custom_;
 };
 
 }  // namespace cq::common

@@ -117,8 +117,7 @@ std::string ContinualQuery::explain(const cat::Database& db) const {
   os << "CQ '" << spec_.name << "': " << spec_.query.to_string() << "\n";
   os << "  trigger: " << spec_.trigger->describe() << "\n";
   os << "  stop: " << spec_.stop->describe() << "\n";
-  os << "  mode: " << core::to_string(spec_.mode) << ", strategy: "
-     << (spec_.strategy == ExecutionStrategy::kDra ? "DRA" : "recompute") << "\n";
+  os << "  mode: " << core::to_string(spec_.mode) << "\n";
   os << "  executions: " << executions_ << ", last at t=" << last_exec_.to_string()
      << "\n";
 
@@ -244,8 +243,6 @@ void ContinualQuery::load_state(std::shared_ptr<Relation> spj) {
   agg_state_.reset();
   agg_payload_.reset();
   const qry::SpjQuery& query = spec_.query;
-  // ΔQ plumbing needs the previous SPJ result under kRecompute.
-  bool keep_spj = spec_.strategy == ExecutionStrategy::kRecompute;
   if (query.is_aggregate() || query.distinct) {
     // DISTINCT groups by every output column and computes no aggregate.
     std::vector<std::string> group_by = query.group_by;
@@ -261,10 +258,9 @@ void ContinualQuery::load_state(std::shared_ptr<Relation> spj) {
       if (query.having) payload = alg::select(payload, *query.having);
       agg_payload_ = std::make_shared<Relation>(std::move(payload));
     }
-  } else {
-    keep_spj = keep_spj || spec_.mode == DeliveryMode::kComplete;
+  } else if (spec_.mode == DeliveryMode::kComplete) {
+    saved_result_ = std::move(spj);
   }
-  if (keep_spj) saved_result_ = std::move(spj);
 }
 
 Notification ContinualQuery::prime_from_scratch(const cat::Database& db,
@@ -274,8 +270,6 @@ Notification ContinualQuery::prime_from_scratch(const cat::Database& db,
 
   Notification note;
   note.cq_name = spec_.name;
-  note.delta.inserted = Relation(spj->schema());
-  note.delta.deleted = Relation(spj->schema());
   note.complete = spj;
   load_state(std::move(spj));
   if (agg_state_) {
@@ -284,6 +278,9 @@ Notification ContinualQuery::prime_from_scratch(const cat::Database& db,
                                  : std::make_shared<const Relation>(agg_state_->current());
     if (spec_.query.is_aggregate()) note.aggregate = agg_payload_;
   }
+  // The empty ΔQ under the schema every later execution's ΔQ carries.
+  note.delta.inserted = Relation(note.complete->schema());
+  note.delta.deleted = Relation(note.complete->schema());
   if (metrics != nullptr) {
     metrics->add(common::metric::kRowsAssembled,
                  static_cast<std::int64_t>(note.complete->size()));
@@ -293,16 +290,6 @@ Notification ContinualQuery::prime_from_scratch(const cat::Database& db,
   last_exec_ = db.clock().now();
   note.at = last_exec_;
   return note;
-}
-
-bool ContinualQuery::needs_reprime() const noexcept {
-  if (reprime_pending_) return true;
-  if (spec_.query.is_aggregate() || spec_.query.distinct) {
-    if (!agg_state_) return true;
-  } else if (spec_.mode == DeliveryMode::kComplete && !saved_result_) {
-    return true;
-  }
-  return spec_.strategy == ExecutionStrategy::kRecompute && !saved_result_;
 }
 
 Notification ContinualQuery::execute_initial(const cat::Database& db,
@@ -362,24 +349,18 @@ Notification ContinualQuery::execute(const cat::Database& db,
                                      const delta::SnapshotMap& snapshots,
                                      common::Metrics* metrics, DraStats* stats) {
   if (executions_ == 0) return execute_initial(db, metrics);
-  if (needs_reprime()) {
-    // State the strategy/mode relies on is gone (explicit invalidation, or
-    // restore() found the rollback window GC-truncated). Re-prime: one full
-    // recompute, delivered as a complete result with an empty delta.
+  if (reprime_pending_) {
+    // The per-mode state is gone (explicit invalidation, a throw part-way
+    // through an execution, or restore() found the rollback window
+    // GC-truncated). Re-prime: one full recompute, delivered as a complete
+    // result with an empty delta.
     Notification note = prime_from_scratch(db, metrics);
     note.sequence = executions_;
     ++executions_;
     return note;
   }
   // ---- ΔQ of the SPJ core ----
-  DiffResult raw;
-  if (spec_.strategy == ExecutionStrategy::kDra) {
-    raw = dra_differential(program_, db, last_exec_, metrics, stats, snapshots);
-  } else {
-    Relation current = recompute(program_.query, db, metrics);
-    raw = diff(*saved_result_, current);
-    saved_result_ = std::make_shared<Relation>(std::move(current));
-  }
+  DiffResult raw = dra_differential(program_, db, last_exec_, metrics, stats, snapshots);
   if (metrics != nullptr) metrics->add(common::metric::kQueryExecutions, 1);
 
   Notification note;
@@ -399,7 +380,7 @@ Notification ContinualQuery::execute(const cat::Database& db,
   };
   std::size_t assembled = 0;  // payload rows built or patched
   try {
-    if (spec_.strategy == ExecutionStrategy::kDra && saved_result_) {
+    if (saved_result_) {
       own(saved_result_);
       *saved_result_ = apply_diff(std::move(*saved_result_), raw);
     }
@@ -419,10 +400,7 @@ Notification ContinualQuery::execute(const cat::Database& db,
       if (spec_.mode == DeliveryMode::kComplete) note.complete = agg_payload_;
     } else {
       if (spec_.mode == DeliveryMode::kComplete) {
-        // The DRA patches the saved result; recompute replaced all of it.
-        assembled = spec_.strategy == ExecutionStrategy::kDra
-                        ? raw.inserted.size() + raw.deleted.size()
-                        : saved_result_->size();
+        assembled = raw.inserted.size() + raw.deleted.size();
         note.complete = saved_result_;
       }
       note.delta = std::move(raw);

@@ -37,11 +37,6 @@ enum class DeliveryMode {
 
 [[nodiscard]] const char* to_string(DeliveryMode mode) noexcept;
 
-/// How executions after the first are computed. kDra is the paper's
-/// contribution; kRecompute is the Propagate baseline (used for benchmarks
-/// and as a cross-check).
-enum class ExecutionStrategy { kDra, kRecompute };
-
 /// Static definition of a continual query.
 struct CqSpec {
   std::string name;
@@ -49,7 +44,6 @@ struct CqSpec {
   TriggerPtr trigger;
   StopPtr stop;  // nullptr = stop::never()
   DeliveryMode mode = DeliveryMode::kDifferential;
-  ExecutionStrategy strategy = ExecutionStrategy::kDra;
 
   /// Convenience: parse the query from SQL.
   static CqSpec from_sql(std::string name, const std::string& sql, TriggerPtr trigger,
@@ -149,8 +143,8 @@ class ContinualQuery {
   [[nodiscard]] Notification execute_initial(const cat::Database& db,
                                              common::Metrics* metrics = nullptr);
 
-  /// Subsequent execution E_i, differential per the configured strategy,
-  /// reading deltas through `snapshots` (which must cover relations()).
+  /// Subsequent execution E_i, computed by the DRA from the deltas read
+  /// through `snapshots` (which must cover relations()).
   [[nodiscard]] Notification execute(const cat::Database& db,
                                      const delta::SnapshotMap& snapshots,
                                      common::Metrics* metrics = nullptr,
@@ -181,9 +175,8 @@ class ContinualQuery {
   /// Drop every maintained per-mode artifact (saved previous result,
   /// grouped state and its payload). The next execution then
   /// *re-primes*: one full recompute delivered as a complete result with
-  /// an empty delta — instead of throwing "recompute strategy lost its
-  /// saved result" the way stale state used to. restore() calls this
-  /// automatically when GC truncated the rollback window it needs.
+  /// an empty delta. restore() calls this automatically when GC truncated
+  /// the rollback window it needs.
   void invalidate_saved_result() noexcept {
     saved_result_.reset();
     agg_state_.reset();
@@ -210,7 +203,7 @@ class ContinualQuery {
   [[nodiscard]] Staleness staleness(const cat::Database& db) const;
 
   /// Human-readable description of how the next execution would proceed:
-  /// trigger, strategy, per-relation pending deltas, and the planner's
+  /// trigger, delivery mode, per-relation pending deltas, and the planner's
   /// decomposition of the query (Section 5.2's refinement, made visible),
   /// with the join order the current table sizes give.
   [[nodiscard]] std::string explain(const cat::Database& db) const;
@@ -228,9 +221,6 @@ class ContinualQuery {
   /// the sequence number, and sets last_exec_ to now.
   [[nodiscard]] Notification prime_from_scratch(const cat::Database& db,
                                                 common::Metrics* metrics);
-  /// True when the per-mode state the configured strategy/mode relies on
-  /// is absent, so the next execution must re-prime.
-  [[nodiscard]] bool needs_reprime() const noexcept;
 
   CqSpec spec_;
   /// The SPJ core (aggregation, DISTINCT and ORDER BY stripped), compiled
@@ -244,9 +234,8 @@ class ContinualQuery {
   bool reprime_pending_ = false;
 
   /// The SPJ core result, kept by plain (non-aggregate, non-DISTINCT)
-  /// kComplete CQs and by kRecompute. Patched in place by each DRA
-  /// execution (replaced under kRecompute); shared with the notification
-  /// that delivered it.
+  /// kComplete CQs. Patched in place by each execution; shared with the
+  /// notification that delivered it.
   std::shared_ptr<rel::Relation> saved_result_;
   /// The grouped state of an aggregate CQ, or of a DISTINCT CQ as GROUP BY
   /// every output column with no aggregates.

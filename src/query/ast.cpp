@@ -1,5 +1,6 @@
 #include "query/ast.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <unordered_set>
 
@@ -35,6 +36,27 @@ void SpjQuery::validate() const {
   if (having && !is_aggregate()) {
     throw common::InvalidArgument("HAVING requires an aggregate query");
   }
+  if (distinct && orders_by_unprojected()) {
+    throw common::InvalidArgument(
+        "ORDER BY columns must appear in the SELECT DISTINCT list");
+  }
+}
+
+bool SpjQuery::orders_by_unprojected() const {
+  if (is_aggregate() || projection.empty()) return false;
+  auto same_column = [](const std::string& a, const std::string& b) {
+    if (a == b) return true;
+    const auto dot_a = a.find('.');
+    const auto dot_b = b.find('.');
+    if ((dot_a == std::string::npos) == (dot_b == std::string::npos)) return false;
+    // npos + 1 wraps to 0: the unqualified side compares whole.
+    return a.substr(dot_a + 1) == b.substr(dot_b + 1);
+  };
+  for (const auto& key : order_by) {
+    const auto names_key = [&](const std::string& col) { return same_column(col, key.column); };
+    if (std::none_of(projection.begin(), projection.end(), names_key)) return true;
+  }
+  return false;
 }
 
 std::string SpjQuery::to_string() const {

@@ -46,7 +46,8 @@ struct SpjQuery {
   alg::ExprPtr having;
 
   /// Presentation ordering, applied by evaluate() to the final rows.
-  /// Column names refer to the output schema.
+  /// Column names refer to the output schema; a plain query without
+  /// DISTINCT may also order by a column its projection drops.
   struct OrderKey {
     std::string column;
     bool descending = false;
@@ -55,8 +56,15 @@ struct SpjQuery {
 
   [[nodiscard]] bool is_aggregate() const noexcept { return !aggregates.empty(); }
 
+  /// True when a plain (non-aggregate) query orders by a column its
+  /// projection drops, so its rows must be sorted before they are
+  /// projected. Names match as written, or by column name when one side
+  /// carries no qualifier ("id" matches "s.id").
+  [[nodiscard]] bool orders_by_unprojected() const;
+
   /// True when the SPJ shape is valid: at least one table, no duplicate
-  /// aliases. Throws InvalidArgument otherwise.
+  /// aliases, no ORDER BY on a column a SELECT DISTINCT drops. Throws
+  /// InvalidArgument otherwise.
   void validate() const;
 
   /// Render back to SQL-ish text (not necessarily the original input).

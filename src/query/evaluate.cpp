@@ -278,6 +278,21 @@ SpjQuery spj_core_of(const SpjQuery& query) {
   core.order_by.clear();
   return core;
 }
+
+
+/// A plain query's rows in ORDER BY order. When it orders by a column its
+/// projection drops, the joined rows are sorted first and projected after.
+Relation evaluate_ordered(const SpjQuery& query, const cat::Database& db, Metrics* metrics,
+                          SpjExecTrace* trace) {
+  if (!query.orders_by_unprojected()) {
+    return apply_order_by(query, evaluate_spj(query, db, metrics, trace));
+  }
+  query.validate();  // rejects the shape under DISTINCT
+  SpjQuery wide = query;
+  wide.projection.clear();
+  return alg::project(apply_order_by(query, evaluate_spj(wide, db, metrics, trace)),
+                      query.projection, /*dedup=*/false, metrics);
+}
 }  // namespace
 
 Relation evaluate(const SpjQuery& query, const cat::Database& db, Metrics* metrics) {
@@ -285,7 +300,7 @@ Relation evaluate(const SpjQuery& query, const cat::Database& db, Metrics* metri
     Relation spj = evaluate_spj(spj_core_of(query), db, metrics);
     return apply_order_by(query, apply_aggregates(query, spj, metrics));
   }
-  return apply_order_by(query, evaluate_spj(query, db, metrics));
+  return evaluate_ordered(query, db, metrics, nullptr);
 }
 
 namespace {
@@ -330,11 +345,12 @@ QueryExplain explain_query(const SpjQuery& query, const cat::Database& db,
   QueryExplain out;
   if (execute) {
     SpjExecTrace trace;
-    Relation spj = evaluate_spj(core, db, nullptr, &trace);
+    Relation spj = aggregate ? evaluate_spj(core, db, nullptr, &trace)
+                             : evaluate_ordered(query, db, nullptr, &trace);
     out.plan = trace.plan;
     out.root = build_plan_tree(core, out.plan, from_schemas(core, db), &trace);
-    out.result = aggregate ? apply_order_by(query, apply_aggregates(query, spj))
-                           : apply_order_by(query, std::move(spj));
+    out.result =
+        aggregate ? apply_order_by(query, apply_aggregates(query, spj)) : std::move(spj);
     out.executed = true;
   } else {
     const SpjProgram program = compile(core, db, /*sample=*/true);

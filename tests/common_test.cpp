@@ -146,16 +146,17 @@ TEST(Rng, StringAndShuffle) {
 
 TEST(Metrics, AddGetReset) {
   Metrics m;
-  EXPECT_EQ(m.get("x"), 0);
-  m.add("x");
-  m.add("x", 4);
-  EXPECT_EQ(m.get("x"), 5);
-  m.add("y", -2);
-  EXPECT_EQ(m.get("y"), -2);
+  EXPECT_EQ(m.get(metric::kRowsScanned), 0);
+  m.add(metric::kRowsScanned);
+  m.add(metric::kRowsScanned, 4);
+  EXPECT_EQ(m.get(metric::kRowsScanned), 5);
+  m.add(metric::kGcRuns, -2);
+  EXPECT_EQ(m.get(metric::kGcRuns), -2);
   EXPECT_EQ(m.all().size(), 2u);
-  EXPECT_NE(m.to_string().find("x=5"), std::string::npos);
+  EXPECT_NE(m.to_string().find("rows_scanned=5"), std::string::npos);
   m.reset();
-  EXPECT_EQ(m.get("x"), 0);
+  EXPECT_EQ(m.get(metric::kRowsScanned), 0);
+  EXPECT_TRUE(m.all().empty());
 }
 
 TEST(HashMix, SpreadsBits) {

@@ -32,11 +32,8 @@ cat::Database stocks_db() {
   return db;
 }
 
-CqSpec spec_for(const std::string& sql, DeliveryMode mode = DeliveryMode::kDifferential,
-                ExecutionStrategy strategy = ExecutionStrategy::kDra) {
-  CqSpec spec = CqSpec::from_sql("test-cq", sql, triggers::on_change(), nullptr, mode);
-  spec.strategy = strategy;
-  return spec;
+CqSpec spec_for(const std::string& sql, DeliveryMode mode = DeliveryMode::kDifferential) {
+  return CqSpec::from_sql("test-cq", sql, triggers::on_change(), nullptr, mode);
 }
 
 TEST(ContinualQuery, InitialExecutionDeliversCompleteResult) {
@@ -269,29 +266,27 @@ TEST(ContinualQuery, ThrowWhilePatchingReprimes) {
   EXPECT_FALSE(cq.reprime_pending());
 }
 
-TEST(ContinualQuery, RecomputeStrategyGivesSameDeltas) {
-  cat::Database db1 = stocks_db();
-  cat::Database db2 = stocks_db();
-  ContinualQuery dra_cq(spec_for("SELECT name FROM Stocks WHERE price > 120"), db1);
-  ContinualQuery rec_cq(spec_for("SELECT name FROM Stocks WHERE price > 120",
-                                 DeliveryMode::kDifferential,
-                                 ExecutionStrategy::kRecompute),
-                        db2);
-  (void)dra_cq.execute_initial(db1);
-  (void)rec_cq.execute_initial(db2);
+TEST(ContinualQuery, DeltasMatchPropagate) {
+  // Section 4.2: the DRA's ΔQ equals Propagate's recompute-then-Diff over
+  // the same database.
+  const std::string sql = "SELECT name FROM Stocks WHERE price > 120";
+  cat::Database db = stocks_db();
+  ContinualQuery cq(spec_for(sql), db);
+  (void)cq.execute_initial(db);
+  const Relation before = recompute(qry::parse_query(sql), db);
 
-  for (auto* db : {&db1, &db2}) {
-    db->insert("Stocks", {Value("MAC"), Value(130)});
-    for (const auto& row : db->table("Stocks").rows()) {
-      if (row.at(0) == Value("DEC")) {
-        db->modify("Stocks", row.tid(), {Value("DEC"), Value(100)});
-        break;
-      }
+  db.insert("Stocks", {Value("MAC"), Value(130)});
+  for (const auto& row : db.table("Stocks").rows()) {
+    if (row.at(0) == Value("DEC")) {
+      db.modify("Stocks", row.tid(), {Value("DEC"), Value(100)});
+      break;
     }
   }
-  const Notification a = dra_cq.execute(db1);
-  const Notification b = rec_cq.execute(db2);
-  EXPECT_TRUE(a.delta.equivalent(b.delta));
+  const Notification n = cq.execute(db);
+  const DiffResult expected = propagate(qry::parse_query(sql), db, before);
+  EXPECT_TRUE(n.delta.equivalent(expected));
+  EXPECT_EQ(n.delta.inserted.count_value(Tuple({Value("MAC")})), 1u);
+  EXPECT_EQ(n.delta.deleted.count_value(Tuple({Value("DEC")})), 1u);
 }
 
 TEST(ContinualQuery, DistinctQueryLiftsDiffs) {
@@ -445,16 +440,14 @@ TEST(ContinualQuery, ExecuteBeforeInitialRunsInitial) {
   EXPECT_TRUE(n.complete != nullptr);
 }
 
-TEST(ContinualQuery, InvalidatedRecomputeStateReprimesInsteadOfThrowing) {
-  // Historical bug: a kRecompute CQ whose saved result was lost (e.g. the
-  // suppression window crossed a GC pass) threw InternalError "recompute
-  // strategy lost its saved result" from execute(). Invalidation is now
-  // explicit and the next execution re-primes with a full recompute.
+TEST(ContinualQuery, InvalidatedStateReprimesInsteadOfThrowing) {
+  // Historical bug: a CQ whose saved result was lost (e.g. the suppression
+  // window crossed a GC pass) threw InternalError "lost its saved result"
+  // from execute(). Invalidation is now explicit and the next execution
+  // re-primes with a full recompute. A kDifferential CQ keeps no saved
+  // state at all, so the pending-reprime flag alone must carry it.
   cat::Database db = stocks_db();
-  ContinualQuery cq(spec_for("SELECT * FROM Stocks WHERE price > 120",
-                             DeliveryMode::kDifferential,
-                             ExecutionStrategy::kRecompute),
-                    db);
+  ContinualQuery cq(spec_for("SELECT * FROM Stocks WHERE price > 120"), db);
   (void)cq.execute_initial(db);
 
   cq.invalidate_saved_result();
@@ -492,8 +485,7 @@ TEST(ContinualQuery, RestoreAcrossGcTruncationReprimes) {
   ASSERT_TRUE(db.delta("Stocks").truncated_through().has_value());
 
   ContinualQuery cq(spec_for("SELECT * FROM Stocks WHERE price > 120",
-                             DeliveryMode::kComplete,
-                             ExecutionStrategy::kRecompute),
+                             DeliveryMode::kComplete),
                     db);
   cq.restore(db, checkpoint, 2);
   EXPECT_TRUE(cq.reprime_pending());
@@ -662,6 +654,101 @@ TEST(ContinualQuery, AggregatePayloadWorkFollowsTheDeltaNotTheGroups) {
           sql == aggregate_sql ? 8 : (mode == DeliveryMode::kComplete ? 2 : 0);
       EXPECT_EQ(small, expected);
       EXPECT_EQ(rows_assembled(sql, 4096, mode), small);
+    }
+  }
+}
+
+/// ROADMAP I on the 2-way shape: a kComplete S ⋈ T CQ given the same
+/// 8-row ΔS does the same work over a 2k-row and a 32k-row T. T's keys are
+/// unique, so each ΔS row matches one T row at either size. With an index
+/// on T's join key the DRA probes it and scans no base row; without one it
+/// reads T once, and base_rows_scanned says so.
+TEST(ContinualQuery, JoinWorkFollowsTheDeltaNotTheBase) {
+  struct Work {
+    std::int64_t rows_assembled;
+    std::int64_t delta_rows_scanned;
+    std::int64_t dra_terms_evaluated;
+    std::int64_t index_probes;
+    std::int64_t base_rows_scanned;
+  };
+  const std::string sql = "SELECT s.id, t.v FROM S s, T t WHERE s.k = t.k";
+  auto work = [&](std::int64_t t_rows, bool indexed) {
+    cat::Database db;
+    db.create_table("S",
+                    rel::Schema::of({{"id", ValueType::kInt}, {"k", ValueType::kInt}}));
+    db.create_table("T", rel::Schema::of({{"k", ValueType::kInt}, {"v", ValueType::kInt}}));
+    if (indexed) db.create_index("T", "t_k", {"k"});
+    auto load = db.begin();
+    for (std::int64_t k = 0; k < t_rows; ++k) load.insert("T", {Value(k), Value(k % 97)});
+    std::vector<rel::TupleId> s_tids;
+    for (std::int64_t i = 0; i < 16; ++i) {
+      s_tids.push_back(load.insert("S", {Value(i), Value(i * 5)}));
+    }
+    load.commit();
+    ContinualQuery cq(spec_for(sql, DeliveryMode::kComplete), db);
+    (void)cq.execute_initial(db);
+
+    // 5 insertions, 1 deletion and 1 modification: 8 delta rows.
+    auto txn = db.begin();
+    for (std::int64_t i = 0; i < 5; ++i) txn.insert("S", {Value(100 + i), Value(200 + i)});
+    txn.erase("S", s_tids[0]);
+    txn.modify("S", s_tids[1], {Value(1), Value(300)});
+    txn.commit();
+    common::Metrics metrics;
+    const Notification n = cq.execute(db, &metrics);
+    EXPECT_EQ(n.delta.inserted.size(), 6u);
+    EXPECT_EQ(n.delta.deleted.size(), 2u);
+    EXPECT_TRUE(n.complete->equal_multiset(qry::evaluate(qry::parse_query(sql), db)));
+    using common::metric::Id;
+    return Work{metrics.get(Id::kRowsAssembled), metrics.get(Id::kDeltaRowsScanned),
+                metrics.get(Id::kDraTermsEvaluated), metrics.get(Id::kIndexProbes),
+                metrics.get(Id::kBaseRowsScanned)};
+  };
+  for (const bool indexed : {true, false}) {
+    SCOPED_TRACE(indexed ? "indexed" : "unindexed");
+    const Work small = work(2048, indexed);
+    const Work large = work(32768, indexed);
+    EXPECT_EQ(small.rows_assembled, 8);
+    EXPECT_EQ(large.rows_assembled, small.rows_assembled);
+    EXPECT_EQ(small.delta_rows_scanned, 8);
+    EXPECT_EQ(large.delta_rows_scanned, small.delta_rows_scanned);
+    EXPECT_EQ(large.dra_terms_evaluated, small.dra_terms_evaluated);
+    if (indexed) {
+      EXPECT_GT(small.index_probes, 0);
+      EXPECT_EQ(large.index_probes, small.index_probes);
+      EXPECT_EQ(small.base_rows_scanned, 0);
+      EXPECT_EQ(large.base_rows_scanned, 0);
+    } else {
+      EXPECT_EQ(small.index_probes, 0);
+      EXPECT_EQ(small.base_rows_scanned, 2048);
+      EXPECT_EQ(large.base_rows_scanned, 32768);
+    }
+  }
+}
+
+/// The empty delta of an initial execution carries the schema of every
+/// later delta: for an aggregate CQ the aggregate output (group keys, then
+/// aggregate columns), not the SPJ core it aggregates.
+TEST(ContinualQuery, PrimingDeltaHasTheSchemaOfLaterDeltas) {
+  for (const std::string sql :
+       {"SELECT name, COUNT(*) AS n, MAX(price) AS top FROM Stocks GROUP BY name",
+        "SELECT SUM(price) AS total FROM Stocks", "SELECT DISTINCT name FROM Stocks",
+        "SELECT name FROM Stocks WHERE price > 100"}) {
+    for (const DeliveryMode mode :
+         {DeliveryMode::kInsertionsOnly, DeliveryMode::kDeletionsOnly,
+          DeliveryMode::kDifferential, DeliveryMode::kComplete}) {
+      SCOPED_TRACE(sql + " / " + to_string(mode));
+      cat::Database db = stocks_db();
+      ContinualQuery cq(spec_for(sql, mode), db);
+      const Notification first = cq.execute_initial(db);
+      db.insert("Stocks", {Value("MAC"), Value(130)});
+      const Notification second = cq.execute(db);
+      const std::string later = second.delta.inserted.schema().to_string();
+      EXPECT_EQ(second.delta.deleted.schema().to_string(), later);
+      EXPECT_EQ(first.delta.inserted.schema().to_string(), later);
+      EXPECT_EQ(first.delta.deleted.schema().to_string(), later);
+      ASSERT_TRUE(first.complete != nullptr);
+      EXPECT_EQ(first.complete->schema().to_string(), later);
     }
   }
 }

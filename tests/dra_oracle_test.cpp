@@ -206,8 +206,8 @@ TEST(DraOracle, IrrelevantUpdatesSkipped) {
 }
 
 /// The byte-script interpreter shared with fuzz/fuzz_dra_oracle.cpp, driven
-/// here by Rng noise: every script must leave the DRA and recompute
-/// pipelines in agreement (tuples, trigger firing, suppression, stats).
+/// here by Rng noise: every notification of every script must match
+/// qry::evaluate over the database it was computed from.
 TEST(DraOracle, ByteScriptedCqPipelinesAgree) {
   common::Rng rng(0xd5a0);
   std::size_t total_commits = 0;
@@ -370,6 +370,32 @@ TEST(DraOracle, AggregatePayloadMatchesItsAccumulators) {
     EXPECT_EQ(agg_cases, 4u);
     EXPECT_EQ(distinct_cases, 3u);
     EXPECT_GT(checks, 500u);  // the comparison must cover real commits
+  }
+}
+
+/// The oracle is an independent evaluation: over the corpus and 300 random
+/// scripts, with lineage off and on, at 1 and 4 lanes, every notification
+/// is checked against qry::evaluate (its delta against Diff of two
+/// consecutive evaluations), one check per execution.
+TEST(DraOracle, EveryNotificationMatchesEvaluate) {
+  const auto scripts = oracle_scripts(0xe7a1, 300);
+  for (const bool lineage : {false, true}) {
+    for (const std::size_t lanes : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(std::string(lineage ? "lineage on, " : "lineage off, ") +
+                   std::to_string(lanes) + " lanes");
+      std::size_t checks = 0;
+      std::size_t later = 0;  // checks of a notification after the initial one
+      for (const auto& [name, script] : scripts) {
+        const testing::DraScriptReport r = testing::run_dra_oracle_script(
+            script.data(), script.size(), {.eval_threads = lanes, .lineage = lineage});
+        ASSERT_TRUE(r.ok) << name << ": " << r.message;
+        EXPECT_EQ(r.evaluate_checks, r.executions) << name;
+        checks += r.evaluate_checks;
+        later += r.evaluate_checks > 0 ? r.evaluate_checks - 1 : 0;
+      }
+      EXPECT_GT(checks, 2000u);  // the comparison must cover real executions
+      EXPECT_GT(later, 1800u);
+    }
   }
 }
 

@@ -1,10 +1,11 @@
 // End-to-end scenario test: autonomous sources feeding a DIOM mediator over
-// the simulated network; several CQs with different triggers, modes, and
-// strategies running against the mirror; garbage collection interleaved.
+// the simulated network; several CQs with different triggers and delivery
+// modes running against the mirror; garbage collection interleaved.
 // Invariants checked every round:
 //   * mirror == source contents,
 //   * every complete-mode CQ result == fresh recompute,
-//   * DRA-strategy and recompute-strategy CQs deliver equivalent deltas.
+//   * differential- and complete-mode CQs over one query deliver equivalent
+//     deltas.
 #include <gtest/gtest.h>
 
 #include "catalog/transaction.hpp"
@@ -22,7 +23,6 @@ namespace {
 using core::CqHandle;
 using core::CqSpec;
 using core::DeliveryMode;
-using core::ExecutionStrategy;
 using rel::Value;
 using rel::ValueType;
 
@@ -55,11 +55,10 @@ TEST(Integration, MediatedMultiCqScenario) {
                        core::triggers::on_change()),
       cheap_sink);
 
-  CqSpec complete_spec = CqSpec::from_sql(
-      "complete-recompute", "SELECT symbol, price FROM Stocks WHERE price < 40",
-      core::triggers::on_change(), nullptr, DeliveryMode::kComplete);
-  complete_spec.strategy = ExecutionStrategy::kRecompute;
-  const CqHandle complete = manager.install(std::move(complete_spec), complete_sink);
+  const CqHandle complete = manager.install(
+      CqSpec::from_sql("cheap-complete", "SELECT symbol, price FROM Stocks WHERE price < 40",
+                       core::triggers::on_change(), nullptr, DeliveryMode::kComplete),
+      complete_sink);
 
   const CqHandle rated = manager.install(
       CqSpec::from_sql("rated-stocks",
@@ -110,8 +109,8 @@ TEST(Integration, MediatedMultiCqScenario) {
           << "round " << round;
     }
 
-    // Invariant 3: DRA- and recompute-strategy CQs over the same query have
-    // delivered the same cumulative history length.
+    // Invariant 3: the differential- and complete-mode CQs over the same
+    // query have delivered the same history, delta for delta.
     ASSERT_EQ(cheap_sink->notifications().size(),
               complete_sink->notifications().size())
         << "round " << round;

@@ -252,23 +252,17 @@ ScenarioRun run_scenario(std::size_t threads, bool eager) {
   auto sink = std::make_shared<CollectingSink>();
 
   auto install = [&](const std::string& name, const std::string& sql,
-                     DeliveryMode mode, ExecutionStrategy strategy) {
-    CqSpec spec = CqSpec::from_sql(name, sql, triggers::on_change(), nullptr, mode);
-    spec.strategy = strategy;
-    manager.install(std::move(spec), sink);
+                     DeliveryMode mode) {
+    manager.install(CqSpec::from_sql(name, sql, triggers::on_change(), nullptr, mode),
+                    sink);
   };
-  install("hi", "SELECT * FROM Stocks WHERE price > 120",
-          DeliveryMode::kDifferential, ExecutionStrategy::kDra);
-  install("lo", "SELECT * FROM Stocks WHERE price < 100",
-          DeliveryMode::kComplete, ExecutionStrategy::kDra);
-  install("names", "SELECT DISTINCT name FROM Stocks",
-          DeliveryMode::kDifferential, ExecutionStrategy::kDra);
-  install("vol", "SELECT * FROM Trades WHERE qty > 10",
-          DeliveryMode::kDifferential, ExecutionStrategy::kRecompute);
-  install("cnt", "SELECT COUNT(*) FROM Trades",
-          DeliveryMode::kDifferential, ExecutionStrategy::kDra);
+  install("hi", "SELECT * FROM Stocks WHERE price > 120", DeliveryMode::kDifferential);
+  install("lo", "SELECT * FROM Stocks WHERE price < 100", DeliveryMode::kComplete);
+  install("names", "SELECT DISTINCT name FROM Stocks", DeliveryMode::kDifferential);
+  install("vol", "SELECT * FROM Trades WHERE qty > 10", DeliveryMode::kDifferential);
+  install("cnt", "SELECT COUNT(*) FROM Trades", DeliveryMode::kDifferential);
   install("traded", "SELECT s.name FROM Stocks s, Trades t WHERE s.name = t.sym",
-          DeliveryMode::kDifferential, ExecutionStrategy::kDra);
+          DeliveryMode::kDifferential);
 
   if (eager) manager.set_eager(true);
 

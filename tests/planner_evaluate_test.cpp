@@ -138,6 +138,37 @@ TEST(Evaluate, AggregateOverJoin) {
   EXPECT_EQ(out.row(0).at(0), Value(600));
 }
 
+TEST(Evaluate, OrdersByAColumnTheProjectionDrops) {
+  // SQL sorts on a column it does not select: the rows are sorted before
+  // the projection drops it.
+  const cat::Database db = company_db();
+  auto names = [](const Relation& r) {
+    std::vector<std::string> out;
+    for (const auto& row : r.rows()) out.push_back(row.at(0).as_string());
+    return out;
+  };
+  const Relation by_salary =
+      evaluate(parse_query("SELECT name FROM Emp ORDER BY salary DESC"), db);
+  EXPECT_EQ(by_salary.schema().size(), 1u);
+  EXPECT_EQ(names(by_salary), (std::vector<std::string>{"dan", "cat", "bob", "ann"}));
+
+  const Relation joined = evaluate(
+      parse_query("SELECT e.name, d.label FROM Emp e, Dept d WHERE e.dept = d.id "
+                  "ORDER BY e.salary DESC"),
+      db);
+  EXPECT_EQ(joined.schema().size(), 2u);
+  EXPECT_EQ(names(joined), (std::vector<std::string>{"cat", "bob", "ann"}));
+
+  // A projected column named with or without its qualifier sorts as before.
+  EXPECT_EQ(names(evaluate(parse_query("SELECT e.name FROM Emp e ORDER BY name DESC"), db)),
+            (std::vector<std::string>{"dan", "cat", "bob", "ann"}));
+
+  // Under DISTINCT the sort key must be selected, as in SQL.
+  EXPECT_THROW(
+      evaluate(parse_query("SELECT DISTINCT dept FROM Emp ORDER BY salary"), db),
+      common::InvalidArgument);
+}
+
 TEST(Evaluate, UnknownColumnThrows) {
   const cat::Database db = company_db();
   EXPECT_THROW(evaluate(parse_query("SELECT * FROM Emp WHERE bogus > 1"), db),

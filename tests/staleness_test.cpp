@@ -77,7 +77,7 @@ TEST(Explain, MentionsAllTheParts) {
   f.db.insert("Stocks", {Value("MAC"), Value(130)});
   const std::string text = cq.explain(f.db);
   EXPECT_NE(text.find("trigger: manual"), std::string::npos);
-  EXPECT_NE(text.find("strategy: DRA"), std::string::npos);
+  EXPECT_NE(text.find("mode: differential"), std::string::npos);
   EXPECT_NE(text.find("ΔStocks: 1 pending"), std::string::npos);
   EXPECT_NE(text.find("by_name"), std::string::npos);
   EXPECT_NE(text.find("staleness"), std::string::npos);

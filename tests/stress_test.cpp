@@ -1,8 +1,8 @@
 // Long-haul stress: thousands of mixed updates across several tables, a
-// bank of heterogeneous CQs (selection / join / aggregate / distinct, DRA
-// and recompute strategies, with and without indexes), eager + periodic
-// checking, aggressive GC, and a mid-stream snapshot/restore — with full
-// recompute cross-checks at every checkpoint.
+// bank of heterogeneous CQs (selection / join / aggregate / distinct, with
+// and without indexes), eager + periodic checking, aggressive GC, and a
+// mid-stream snapshot/restore — with full recompute cross-checks at every
+// checkpoint.
 #include <gtest/gtest.h>
 
 #include "catalog/transaction.hpp"
@@ -19,27 +19,19 @@ namespace {
 using core::CqHandle;
 using core::CqSpec;
 using core::DeliveryMode;
-using core::ExecutionStrategy;
 
 struct WatchedQuery {
   const char* name;
   const char* sql;
-  ExecutionStrategy strategy;
 };
 
 constexpr WatchedQuery kQueries[] = {
-    {"band", "SELECT id, price FROM S WHERE price BETWEEN 200 AND 600",
-     ExecutionStrategy::kDra},
-    {"band-recompute", "SELECT id, price FROM S WHERE price BETWEEN 200 AND 600",
-     ExecutionStrategy::kRecompute},
+    {"band", "SELECT id, price FROM S WHERE price BETWEEN 200 AND 600"},
     {"join", "SELECT s.id, t.id FROM S s, T t WHERE s.category = t.category "
-             "AND s.price > 700 AND t.price < 300",
-     ExecutionStrategy::kDra},
-    {"sum", "SELECT category, SUM(price) AS total FROM S GROUP BY category",
-     ExecutionStrategy::kDra},
-    {"distinct", "SELECT DISTINCT category FROM T", ExecutionStrategy::kDra},
-    {"having", "SELECT category, COUNT(*) AS n FROM S GROUP BY category HAVING n > 10",
-     ExecutionStrategy::kDra},
+             "AND s.price > 700 AND t.price < 300"},
+    {"sum", "SELECT category, SUM(price) AS total FROM S GROUP BY category"},
+    {"distinct", "SELECT DISTINCT category FROM T"},
+    {"having", "SELECT category, COUNT(*) AS n FROM S GROUP BY category HAVING n > 10"},
 };
 
 void verify_all(core::CqManager& manager, const std::vector<CqHandle>& handles,
@@ -65,10 +57,10 @@ TEST(Stress, EverythingAtOnce) {
   auto manager = std::make_unique<core::CqManager>(db);
   std::vector<CqHandle> handles;
   for (const auto& wq : kQueries) {
-    CqSpec spec = CqSpec::from_sql(wq.name, wq.sql, core::triggers::manual(), nullptr,
-                                   DeliveryMode::kComplete);
-    spec.strategy = wq.strategy;
-    handles.push_back(manager->install(std::move(spec), nullptr));
+    handles.push_back(manager->install(
+        CqSpec::from_sql(wq.name, wq.sql, core::triggers::manual(), nullptr,
+                         DeliveryMode::kComplete),
+        nullptr));
   }
 
   const testing::UpdateMix mix{.modify_fraction = 0.4, .delete_fraction = 0.25};
@@ -96,12 +88,10 @@ TEST(Stress, EverythingAtOnce) {
       if (entry.name == q.name) wq = &q;
     }
     ASSERT_NE(wq, nullptr);
-    CqSpec spec = CqSpec::from_sql(wq->name, wq->sql, core::triggers::manual(), nullptr,
-                                   DeliveryMode::kComplete);
-    spec.strategy = wq->strategy;
-    handles2.push_back(
-        manager2->install_restored(std::move(spec), nullptr, entry.last_execution,
-                                   entry.executions));
+    handles2.push_back(manager2->install_restored(
+        CqSpec::from_sql(wq->name, wq->sql, core::triggers::manual(), nullptr,
+                         DeliveryMode::kComplete),
+        nullptr, entry.last_execution, entry.executions));
   }
 
   // Keep going on the restored deployment.

@@ -29,7 +29,7 @@ namespace {
 using rel::Value;
 
 // Script shape limits. Small on purpose: libFuzzer explores breadth, not
-// depth, and every commit costs two full CQ pipelines.
+// depth, and every commit costs a CQ execution plus a full evaluation.
 constexpr std::size_t kMaxSeedRows = 24;
 constexpr std::size_t kMaxCommits = 24;
 constexpr std::size_t kMaxOpsPerTxn = 4;
@@ -180,68 +180,101 @@ core::TriggerPtr random_trigger(ByteReader& in) {
   }
 }
 
-// Compares the two pipelines after one step; empty string = agree.
-std::string compare_step(const core::CqManager& dra_mgr,
-                         const core::CqManager& oracle_mgr,
-                         const core::CollectingSink& dra_sink,
-                         const core::CollectingSink& oracle_sink) {
-  const auto dra_all = dra_mgr.cq_stats();
-  const auto oracle_all = oracle_mgr.cq_stats();
-  const auto dra_it = dra_all.find("cq");
-  const auto oracle_it = oracle_all.find("cq");
-  if ((dra_it == dra_all.end()) != (oracle_it == oracle_all.end())) {
-    return "stats registry disagrees on CQ presence";
+/// Attribute names of `schema`, in order, for the column-name check.
+std::string column_names(const rel::Schema& schema) {
+  std::string out = "(";
+  for (const auto& attribute : schema.attributes()) {
+    if (out.size() > 1) out += ", ";
+    out += attribute.name;
   }
-  if (dra_it != dra_all.end()) {
-    const core::CqStats& a = dra_it->second;
-    const core::CqStats& b = oracle_it->second;
-    std::ostringstream os;
-    if (a.executions != b.executions) {
-      os << "executions " << a.executions << " vs " << b.executions;
-    } else if (a.trigger_checks != b.trigger_checks) {
-      os << "trigger_checks " << a.trigger_checks << " vs " << b.trigger_checks;
-    } else if (a.fired != b.fired) {
-      os << "fired " << a.fired << " vs " << b.fired;
-    } else if (a.suppressed != b.suppressed) {
-      os << "suppressed " << a.suppressed << " vs " << b.suppressed;
-    } else if (a.finished != b.finished) {
-      os << "finished " << a.finished << " vs " << b.finished;
-    }
-    if (const auto s = os.str(); !s.empty()) return "stats diverged: " + s;
-  }
-  const auto& dra_notifs = dra_sink.notifications();
-  const auto& oracle_notifs = oracle_sink.notifications();
-  if (dra_notifs.size() != oracle_notifs.size()) {
-    std::ostringstream os;
-    os << "notification counts diverged: " << dra_notifs.size() << " vs "
-       << oracle_notifs.size();
+  return out + ")";
+}
+
+/// The independent oracle, run at install and after every commit. The
+/// notification delivered since the previous call, if any (`seen` counts
+/// those already checked), must match qry::evaluate(query, db) over `db`
+/// as it is now, which is what that execution read: no commit lies between
+/// an execution and this call. `previous` keeps the evaluation as of the
+/// previous notification; `checks` counts the notifications compared.
+///   * A step delivers at most one notification, CqStats::executions
+///     equals the number delivered, and each one's sequence is its index.
+///   * Both sides of the delta carry evaluate's column names.
+///   * Sequence 0 has an empty delta and `complete` ≡ evaluate.
+///   * Later, the delta ≡ diff(previous evaluate, evaluate), with the side
+///     the delivery mode drops emptied; in kComplete, `complete` ≡
+///     evaluate.
+///   * An aggregate CQ's `aggregate` ≡ evaluate.
+/// Results compare as multisets. Empty string = all match.
+std::string check_against_evaluate(const cat::Database& db, const core::CqManager& mgr,
+                                   const core::CollectingSink& sink,
+                                   const qry::SpjQuery& query, core::DeliveryMode mode,
+                                   std::optional<rel::Relation>& previous,
+                                   std::size_t& seen, std::size_t& checks) {
+  const auto& notifs = sink.notifications();
+  const auto stats = mgr.cq_stats();
+  const auto it = stats.find("cq");
+  const std::uint64_t executions = it == stats.end() ? 0 : it->second.executions;
+  std::ostringstream os;
+  if (notifs.size() > seen + 1) {
+    os << "one step delivered " << notifs.size() - seen << " notifications";
     return os.str();
   }
-  for (std::size_t i = 0; i < dra_notifs.size(); ++i) {
-    const core::Notification& a = dra_notifs[i];
-    const core::Notification& b = oracle_notifs[i];
-    std::ostringstream os;
-    os << "notification " << i << " ";
-    if (a.sequence != b.sequence) {
-      os << "sequence " << a.sequence << " vs " << b.sequence;
-      return os.str();
-    }
-    if (!a.delta.equivalent(b.delta)) {
-      os << "delta diverged:\nDRA " << a.delta.to_string() << "\noracle "
-         << b.delta.to_string();
-      return os.str();
-    }
-    if ((a.complete != nullptr) != (b.complete != nullptr) ||
-        (a.complete && !a.complete->equal_multiset(*b.complete))) {
-      os << "complete result diverged";
-      return os.str();
-    }
-    if ((a.aggregate != nullptr) != (b.aggregate != nullptr) ||
-        (a.aggregate && !a.aggregate->equal_multiset(*b.aggregate))) {
-      os << "aggregate result diverged";
+  if (executions != notifs.size()) {
+    os << "executions " << executions << " vs " << notifs.size() << " notifications";
+    return os.str();
+  }
+  if (notifs.size() == seen) return {};
+  const core::Notification& n = notifs[seen];
+  os << "notification " << seen << " ";
+  if (n.sequence != seen) {
+    os << "carries sequence " << n.sequence;
+    return os.str();
+  }
+  ++seen;
+  ++checks;
+  rel::Relation expected = qry::evaluate(query, db);
+  const std::string names = column_names(expected.schema());
+  for (const rel::Relation* side : {&n.delta.inserted, &n.delta.deleted}) {
+    if (column_names(side->schema()) != names) {
+      os << "delta columns " << column_names(side->schema()) << " vs evaluate " << names;
       return os.str();
     }
   }
+  auto differs = [&](const std::shared_ptr<const rel::Relation>& got) {
+    return got == nullptr || !got->equal_multiset(expected);
+  };
+  if (n.sequence == 0) {
+    if (!n.delta.empty()) {
+      os << "initial execution delivered a delta:\n" << n.delta.to_string();
+      return os.str();
+    }
+    if (differs(n.complete)) {
+      os << "initial complete result differs from evaluate";
+      return os.str();
+    }
+  } else {
+    // Sequence 0 was checked first, so `previous` holds an evaluation.
+    core::DiffResult want = core::diff(*previous, expected);
+    if (mode == core::DeliveryMode::kInsertionsOnly) {
+      want.deleted = rel::Relation(want.deleted.schema());
+    } else if (mode == core::DeliveryMode::kDeletionsOnly) {
+      want.inserted = rel::Relation(want.inserted.schema());
+    }
+    if (!n.delta.equivalent(want)) {
+      os << "delta differs from diff(previous evaluate, evaluate):\nDRA "
+         << n.delta.to_string() << "\nevaluate " << want.to_string();
+      return os.str();
+    }
+    if (mode == core::DeliveryMode::kComplete && differs(n.complete)) {
+      os << "complete result differs from evaluate";
+      return os.str();
+    }
+  }
+  if (query.is_aggregate() && differs(n.aggregate)) {
+    os << "aggregate result differs from evaluate";
+    return os.str();
+  }
+  previous = std::move(expected);
   return {};
 }
 
@@ -278,11 +311,11 @@ std::string check_unit_weights(const core::CqManager& mgr, core::CqHandle handle
 ///     (current(), HAVING applied), row for row and in group-key order.
 ///   * A DISTINCT CQ's `complete` payload, when the latest notification
 ///     carries one and arrived since the previous check (`seen` counts the
-///     notifications checked so far), so that it reflects `db` as it is
-///     now, must equal qry::evaluate(query) as a multiset, hold no
-///     duplicate row and come in ascending value order.
-std::string check_grouped_payload(const cat::Database& db, const core::CqManager& mgr,
-                                  core::CqHandle handle, const core::CollectingSink& sink,
+///     notifications checked so far), must hold no duplicate row and come
+///     in ascending value order (check_against_evaluate compares its
+///     rows).
+std::string check_grouped_payload(const core::CqManager& mgr, core::CqHandle handle,
+                                  const core::CollectingSink& sink,
                                   const qry::SpjQuery& query, std::size_t& seen,
                                   std::size_t& checks) {
   const auto& notifs = sink.notifications();
@@ -295,10 +328,8 @@ std::string check_grouped_payload(const cat::Database& db, const core::CqManager
   if (!query.is_aggregate()) {
     if (!query.distinct || !fresh || last.complete == nullptr) return {};
     ++checks;
-    const rel::Relation expected = qry::evaluate(query, db);
     const auto& got = last.complete->rows();
     std::string error;
-    if (!last.complete->equal_multiset(expected)) error = "differs from a fresh evaluation";
     for (std::size_t i = 1; error.empty() && i < got.size(); ++i) {
       std::strong_ordering order = std::strong_ordering::equal;
       for (std::size_t c = 0; order == 0 && c < got[i].size(); ++c) {
@@ -308,9 +339,7 @@ std::string check_grouped_payload(const cat::Database& db, const core::CqManager
       if (order > 0) error = "is not in ascending order";
     }
     if (error.empty()) return {};
-    return "DISTINCT payload " + error + ":\npayload " +
-           last.complete->to_string(got.size()) + "\nevaluate " +
-           expected.to_string(expected.size());
+    return "DISTINCT payload " + error + ":\n" + last.complete->to_string(got.size());
   }
   const core::AggregateState* state = mgr.cq(handle).aggregate_state();
   if (state == nullptr) return {};
@@ -408,7 +437,7 @@ DraScriptReport run_dra_oracle_script(const std::uint8_t* data, std::size_t size
 
   auto fail = [&](std::size_t commit_idx, const std::string& what) {
     std::ostringstream os;
-    os << "DRA/oracle divergence at commit " << commit_idx << ": " << what
+    os << "DRA/evaluate divergence at commit " << commit_idx << ": " << what
        << "\n  query: " << query.to_string();
     report.ok = false;
     report.message = os.str();
@@ -416,53 +445,39 @@ DraScriptReport run_dra_oracle_script(const std::uint8_t* data, std::size_t size
   };
 
   try {
-    // Two databases, two virtual clocks, driven in lockstep: identical op
-    // sequences produce identical tids and commit timestamps on both sides.
-    auto dra_clock = std::make_shared<common::VirtualClock>();
-    auto oracle_clock = std::make_shared<common::VirtualClock>();
-    cat::Database dra_db(dra_clock);
-    cat::Database oracle_db(oracle_clock);
-    const auto s_schema = rel::Schema::of({{"id", rel::ValueType::kInt},
-                                           {"category", rel::ValueType::kString},
-                                           {"price", rel::ValueType::kInt},
-                                           {"qty", rel::ValueType::kInt}});
-    const auto t_schema = rel::Schema::of(
-        {{"category", rel::ValueType::kString}, {"bonus", rel::ValueType::kInt}});
-    for (cat::Database* db : {&dra_db, &oracle_db}) {
-      db->create_table("S", s_schema);
-      db->create_table("T", t_schema);
-    }
+    auto clock = std::make_shared<common::VirtualClock>();
+    cat::Database db(clock);
+    db.create_table("S", rel::Schema::of({{"id", rel::ValueType::kInt},
+                                          {"category", rel::ValueType::kString},
+                                          {"price", rel::ValueType::kInt},
+                                          {"qty", rel::ValueType::kInt}}));
+    db.create_table("T", rel::Schema::of({{"category", rel::ValueType::kString},
+                                          {"bonus", rel::ValueType::kInt}}));
     const bool index_category = in.flip();
     const bool index_price = in.flip();
-    for (cat::Database* db : {&dra_db, &oracle_db}) {
-      if (index_category) db->create_index("S", "s_cat", {"category"});
-      if (index_price) db->create_index("S", "s_price", {"price"});
-      if (uses_t && index_category) db->create_index("T", "t_cat", {"category"});
-    }
+    if (index_category) db.create_index("S", "s_cat", {"category"});
+    if (index_price) db.create_index("S", "s_price", {"price"});
+    if (uses_t && index_category) db.create_index("T", "t_cat", {"category"});
 
     // Seed rows (committed before the CQ installs, so E_0 is non-trivial).
     struct LiveRow {
       std::string table;
-      rel::TupleId dra_tid;
-      rel::TupleId oracle_tid;
+      rel::TupleId tid;
     };
     std::vector<LiveRow> live;
     {
-      auto dra_txn = dra_db.begin();
-      auto oracle_txn = oracle_db.begin();
+      auto txn = db.begin();
       const std::size_t seed_rows = in.index(kMaxSeedRows + 1);
       for (std::size_t i = 0; i < seed_rows; ++i) {
         const bool into_t = uses_t && in.index(3) == 0;
         const auto row = into_t ? random_t_row(in) : random_s_row(in);
         const std::string table = into_t ? "T" : "S";
-        live.push_back({table, dra_txn.insert(table, row), oracle_txn.insert(table, row)});
+        live.push_back({table, txn.insert(table, row)});
       }
       if (uses_t) {  // guarantee at least one T row so joins can match
-        const auto row = random_t_row(in);
-        live.push_back({"T", dra_txn.insert("T", row), oracle_txn.insert("T", row)});
+        live.push_back({"T", txn.insert("T", random_t_row(in))});
       }
-      dra_txn.commit();
-      oracle_txn.commit();
+      txn.commit();
     }
 
     core::CqSpec spec;
@@ -471,14 +486,13 @@ DraScriptReport run_dra_oracle_script(const std::uint8_t* data, std::size_t size
     spec.trigger = random_trigger(in);
     if (in.index(4) == 0) spec.stop = core::stop::after_executions(2 + in.index(4));
     spec.mode = static_cast<core::DeliveryMode>(in.index(4));
+    const core::DeliveryMode mode = spec.mode;
     // Three bytes that select nothing: reading them keeps every checked-in
     // corpus and regression input decoding to the same script.
     for (int unused = 0; unused < 3; ++unused) (void)in.flip();
 
-    core::CqManager dra_mgr(dra_db);
-    core::CqManager oracle_mgr(oracle_db);
-    dra_mgr.set_parallelism(config.eval_threads);
-    oracle_mgr.set_parallelism(config.eval_threads);
+    core::CqManager mgr(db);
+    mgr.set_parallelism(config.eval_threads);
     // Lineage collection flips a process-global provenance flag; reset it
     // on every exit path so back-to-back script runs stay independent.
     struct ProvReset {
@@ -487,38 +501,23 @@ DraScriptReport run_dra_oracle_script(const std::uint8_t* data, std::size_t size
         if (active) rel::prov::set_enabled(false);
       }
     } prov_reset{config.lineage};
-    if (config.lineage) dra_mgr.set_lineage(true, kMaxCommits + 8);
-    auto dra_sink = std::make_shared<core::CollectingSink>();
-    auto oracle_sink = std::make_shared<core::CollectingSink>();
+    if (config.lineage) mgr.set_lineage(true, kMaxCommits + 8);
+    auto sink = std::make_shared<core::CollectingSink>();
 
-    spec.strategy = core::ExecutionStrategy::kDra;
-    bool dra_installed = true;
-    core::CqHandle dra_handle{};
+    core::CqHandle handle{};
     try {
-      dra_handle = dra_mgr.install(spec, dra_sink);
+      handle = mgr.install(spec, sink);
     } catch (const common::Error&) {
-      dra_installed = false;
+      return report;  // boring: the engine rejected the spec
     }
-    spec.strategy = core::ExecutionStrategy::kRecompute;
-    bool oracle_installed = true;
-    try {
-      (void)oracle_mgr.install(spec, oracle_sink);
-    } catch (const common::Error&) {
-      oracle_installed = false;
-    }
-    if (dra_installed != oracle_installed) {
-      return fail(0, "install succeeded on one side only");
-    }
-    if (!dra_installed) return report;  // boring: both rejected the spec
 
     const bool eager = in.flip();
-    dra_mgr.set_eager(eager);
-    oracle_mgr.set_eager(eager);
+    mgr.set_eager(eager);
 
     // Remember the initial state for the final direct DRA-vs-Propagate
     // check (non-aggregate, non-DISTINCT queries only: that is the SPJ
     // class dra_differential itself covers).
-    const common::Timestamp install_ts = dra_db.clock().now();
+    const common::Timestamp install_ts = db.clock().now();
     std::optional<rel::Relation> initial_full;
     // The same class's program, compiled once against the install-time
     // table sizes, must keep matching a per-call compile as they change.
@@ -527,35 +526,35 @@ DraScriptReport run_dra_oracle_script(const std::uint8_t* data, std::size_t size
     std::vector<std::string> tables;
     for (const auto& ref : query.from) tables.push_back(ref.table);
     if (!query.is_aggregate() && !query.distinct) {
-      initial_full = core::recompute(query, dra_db);
-      program = qry::compile(query, dra_db);
+      initial_full = core::recompute(query, db);
+      program = qry::compile(query, db);
     }
 
+    std::optional<rel::Relation> evaluated;
+    std::size_t evaluated_seen = 0;
     std::size_t weights_checked = 0;
-    if (const auto m = compare_step(dra_mgr, oracle_mgr, *dra_sink, *oracle_sink);
-        !m.empty()) {
-      return fail(0, m);
-    }
-    if (const auto m = check_unit_weights(dra_mgr, dra_handle, *dra_sink, weights_checked);
-        !m.empty()) {
-      return fail(0, m);
-    }
     std::size_t payloads_seen = 0;
-    if (const auto m = check_grouped_payload(dra_db, dra_mgr, dra_handle, *dra_sink, query,
-                                             payloads_seen, report.payload_checks);
-        !m.empty()) {
-      return fail(0, m);
-    }
+    // Every per-step check, after install and after each commit.
+    auto check_step = [&]() -> std::string {
+      if (auto m = check_against_evaluate(db, mgr, *sink, query, mode, evaluated,
+                                          evaluated_seen, report.evaluate_checks);
+          !m.empty()) {
+        return m;
+      }
+      if (auto m = check_unit_weights(mgr, handle, *sink, weights_checked); !m.empty()) {
+        return m;
+      }
+      return check_grouped_payload(mgr, handle, *sink, query, payloads_seen,
+                                   report.payload_checks);
+    };
+    if (const auto m = check_step(); !m.empty()) return fail(0, m);
 
     // The transaction script.
     while (!in.empty() && report.commits < kMaxCommits) {
       if (in.index(4) == 0) {
-        const common::Duration jump(1 + static_cast<int>(in.index(3)));
-        dra_clock->advance(jump);
-        oracle_clock->advance(jump);
+        clock->advance(common::Duration(1 + static_cast<int>(in.index(3))));
       }
-      auto dra_txn = dra_db.begin();
-      auto oracle_txn = oracle_db.begin();
+      auto txn = db.begin();
       const std::size_t ops = 1 + in.index(kMaxOpsPerTxn);
       for (std::size_t op = 0; op < ops; ++op) {
         const std::size_t kind = in.index(10);
@@ -563,67 +562,44 @@ DraScriptReport run_dra_oracle_script(const std::uint8_t* data, std::size_t size
           const std::size_t victim = in.index(live.size());
           const LiveRow row = live[victim];
           live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
-          dra_txn.erase(row.table, row.dra_tid);
-          oracle_txn.erase(row.table, row.oracle_tid);
+          txn.erase(row.table, row.tid);
         } else if (kind >= 5 && !live.empty()) {  // modify
-          const std::size_t victim = in.index(live.size());
-          const LiveRow& row = live[victim];
-          const auto values = row.table == "T" ? random_t_row(in) : random_s_row(in);
-          dra_txn.modify(row.table, row.dra_tid, values);
-          oracle_txn.modify(row.table, row.oracle_tid, values);
+          const LiveRow& row = live[in.index(live.size())];
+          txn.modify(row.table, row.tid,
+                     row.table == "T" ? random_t_row(in) : random_s_row(in));
         } else if (kind == 4) {  // insert + erase in the same txn: net zero
-          const auto row = random_s_row(in);
-          dra_txn.erase("S", dra_txn.insert("S", row));
-          oracle_txn.erase("S", oracle_txn.insert("S", row));
+          txn.erase("S", txn.insert("S", random_s_row(in)));
         } else {  // insert
           const bool into_t = uses_t && in.index(4) == 0;
           const auto row = into_t ? random_t_row(in) : random_s_row(in);
           const std::string table = into_t ? "T" : "S";
-          live.push_back(
-              {table, dra_txn.insert(table, row), oracle_txn.insert(table, row)});
+          live.push_back({table, txn.insert(table, row)});
         }
       }
-      dra_txn.commit();
-      oracle_txn.commit();
+      txn.commit();
       ++report.commits;
-      if (!eager) {
-        (void)dra_mgr.poll();
-        (void)oracle_mgr.poll();
-      }
-      if (const auto m = compare_step(dra_mgr, oracle_mgr, *dra_sink, *oracle_sink);
-          !m.empty()) {
-        return fail(report.commits, m);
-      }
-      if (const auto m =
-              check_unit_weights(dra_mgr, dra_handle, *dra_sink, weights_checked);
-          !m.empty()) {
-        return fail(report.commits, m);
-      }
-      if (const auto m = check_grouped_payload(dra_db, dra_mgr, dra_handle, *dra_sink,
-                                               query, payloads_seen, report.payload_checks);
-          !m.empty()) {
-        return fail(report.commits, m);
-      }
+      if (!eager) (void)mgr.poll();
+      if (const auto m = check_step(); !m.empty()) return fail(report.commits, m);
       if (program) {
         const std::string via_program = rows_in_order(
-            core::dra_differential(*program, dra_db, checked_through, nullptr, nullptr,
-                                   core::snapshot_deltas(dra_db, tables)));
+            core::dra_differential(*program, db, checked_through, nullptr, nullptr,
+                                   core::snapshot_deltas(db, tables)));
         const std::string via_query =
-            rows_in_order(core::dra_differential(query, dra_db, checked_through));
+            rows_in_order(core::dra_differential(query, db, checked_through));
         if (via_program != via_query) {
           return fail(report.commits, "install-time program vs per-call compile:\n" +
                                           via_program + "vs\n" + via_query);
         }
         ++report.program_checks;
-        checked_through = dra_db.clock().now();
+        checked_through = db.clock().now();
       }
     }
 
     // Direct Section 4.2 check, bypassing the CQ layer: the DRA's ΔQ over
     // the whole script must match Propagate's full recompute + diff.
     if (initial_full) {
-      const auto dra_delta = core::dra_differential(query, dra_db, install_ts);
-      const auto prop_delta = core::propagate(query, dra_db, *initial_full);
+      const auto dra_delta = core::dra_differential(query, db, install_ts);
+      const auto prop_delta = core::propagate(query, db, *initial_full);
       if (!dra_delta.consolidated().equivalent(prop_delta.consolidated())) {
         return fail(report.commits,
                     "direct dra_differential vs propagate mismatch:\nDRA " +
@@ -631,19 +607,19 @@ DraScriptReport run_dra_oracle_script(const std::uint8_t* data, std::size_t size
       }
     }
 
-    // Every delta row a notification cites must still exist in the DRA
+    // Every delta row a notification cites must still exist in the
     // database's delta log with exactly that (relation, txn, seq) identity.
     if (config.lineage) {
-      for (const core::Notification& n : dra_sink->notifications()) {
+      for (const core::Notification& n : sink->notifications()) {
         for (const rel::Relation* r : {&n.delta.inserted, &n.delta.deleted}) {
           for (const auto& row : r->rows()) {
             if (row.prov() == nullptr) continue;
             for (const auto& id : *row.prov()) {
               const std::string table = rel::prov::relation_name(id.rel);
-              bool found = dra_db.has_table(table);
+              bool found = db.has_table(table);
               if (found) {
                 found = false;
-                for (const auto& d : dra_db.delta(table).rows()) {
+                for (const auto& d : db.delta(table).rows()) {
                   if (d.ts.ticks() == id.txn && d.seq == id.seq) {
                     found = true;
                     break;
@@ -662,8 +638,8 @@ DraScriptReport run_dra_oracle_script(const std::uint8_t* data, std::size_t size
       }
     }
 
-    report.executions = dra_mgr.cq_stats().at("cq").executions;
-    report.digest = stream_digest(dra_mgr, *dra_sink, config.lineage);
+    report.executions = mgr.cq_stats().at("cq").executions;
+    report.digest = stream_digest(mgr, *sink, config.lineage);
   } catch (const common::Error& e) {
     return fail(report.commits, std::string("unexpected engine error: ") + e.what());
   }
