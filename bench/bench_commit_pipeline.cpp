@@ -4,8 +4,19 @@
 // schedule. Arg(0) is the writer count — the 1-writer row is the
 // sequential baseline; the 2/4-writer rows show how far per-shard commit
 // locks let disjoint commits (validate → apply → stamp → append →
-// dispatch) overlap. Commit latency lands in commit_pipeline_w<N>_us and
-// the shard-lock acquisition wait in commit_lock_wait_us.
+// dispatch) overlap. The shard-lock acquisition wait lands in
+// commit_lock_wait_us.
+//
+// Two table sets:
+//   * BM_CommitPipelineWriters ("colliding shards"): tables R0..R7, which
+//     hash onto shards {6,5,0,6,1,1,1,2}, so writers with disjoint table
+//     sets still share shard locks. Commit latency lands in
+//     commit_pipeline_w<N>_us.
+//   * BM_CommitPipelineDisjoint ("disjoint shards"): eight table names
+//     picked through cat::Database::shard_of onto eight distinct shards,
+//     so the writers share no catalog lock at all; wall-clock time
+//     (UseRealTime). Commit latency lands in
+//     commit_pipeline_disjoint_w<N>_us.
 //
 // Every row also digests each CQ's full notification stream (sequence
 // numbers, delivered tids and values — everything except the raw
@@ -39,7 +50,27 @@ constexpr std::size_t kTxnsPerTable = 60;
 constexpr std::size_t kRowsPerTxn = 4;
 constexpr std::size_t kCommits = kTables * kTxnsPerTable;
 
-std::string table_name(std::size_t i) { return "R" + std::to_string(i); }
+/// R0..R7: several share a shard.
+std::vector<std::string> colliding_tables() {
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < kTables; ++i) names.push_back("R" + std::to_string(i));
+  return names;
+}
+
+/// The first kTables names D<i> that hash onto pairwise distinct shards.
+std::vector<std::string> disjoint_tables() {
+  static_assert(kTables <= cat::Database::kNumShards);
+  std::vector<std::string> names;
+  std::uint32_t used = 0;
+  for (std::size_t i = 0; names.size() < kTables; ++i) {
+    std::string name = "D" + std::to_string(i);
+    const std::size_t shard = cat::Database::shard_of(name);
+    if ((used & (1u << shard)) != 0) continue;
+    used |= 1u << shard;
+    names.push_back(std::move(name));
+  }
+  return names;
+}
 
 /// FNV-1a over each notification a CQ delivers: sequence, then every
 /// inserted row's tid and key value. Deliveries for one CQ are serialized
@@ -69,6 +100,7 @@ class DigestSink final : public core::ResultSink {
 };
 
 struct PipelineWorkload {
+  std::vector<std::string> tables;
   cat::Database db;
   std::unique_ptr<core::CqManager> manager;
   std::vector<std::shared_ptr<DigestSink>> sinks;  // one per table, in order
@@ -82,18 +114,18 @@ struct PipelineWorkload {
   }
 };
 
-std::unique_ptr<PipelineWorkload> make_workload() {
+std::unique_ptr<PipelineWorkload> make_workload(std::vector<std::string> tables) {
   auto w = std::make_unique<PipelineWorkload>();
-  for (std::size_t i = 0; i < kTables; ++i) {
-    w->db.create_table(table_name(i), rel::Schema::of({{"key", rel::ValueType::kInt}}));
+  w->tables = std::move(tables);
+  for (const auto& table : w->tables) {
+    w->db.create_table(table, rel::Schema::of({{"key", rel::ValueType::kInt}}));
   }
   w->manager = std::make_unique<core::CqManager>(w->db);
   w->manager->set_eager(true);
-  for (std::size_t i = 0; i < kTables; ++i) {
+  for (const auto& table : w->tables) {
     auto sink = std::make_shared<DigestSink>();
     w->manager->install(
-        core::CqSpec::from_sql("cq_" + table_name(i),
-                               "SELECT * FROM " + table_name(i) + " WHERE key >= 0",
+        core::CqSpec::from_sql("cq_" + table, "SELECT * FROM " + table + " WHERE key >= 0",
                                core::triggers::on_change(), nullptr,
                                core::DeliveryMode::kDifferential),
         sink);
@@ -109,7 +141,7 @@ void run_writers(PipelineWorkload& w, std::size_t writers,
                  common::obs::Histogram& commit_us) {
   auto drive = [&w, writers, &commit_us](std::size_t writer) {
     for (std::size_t t = writer; t < kTables; t += writers) {
-      const std::string table = table_name(t);
+      const std::string& table = w.tables[t];
       for (std::size_t i = 0; i < kTxnsPerTable; ++i) {
         const std::uint64_t t0 = common::obs::now_ns();
         auto txn = w.db.begin();
@@ -129,35 +161,33 @@ void run_writers(PipelineWorkload& w, std::size_t writers,
   for (auto& t : threads) t.join();
 }
 
-void BM_CommitPipelineWriters(benchmark::State& state) {
-  const auto writers = static_cast<std::size_t>(state.range(0));
-  static common::obs::Histogram& commit_w1_us =
-      common::obs::global().histogram("commit_pipeline_w1_us");
-  static common::obs::Histogram& commit_w2_us =
-      common::obs::global().histogram("commit_pipeline_w2_us");
-  static common::obs::Histogram& commit_w4_us =
-      common::obs::global().histogram("commit_pipeline_w4_us");
-  common::obs::Histogram& commit_us =
-      writers >= 4 ? commit_w4_us : (writers == 2 ? commit_w2_us : commit_w1_us);
+/// The digest a writer-scaling family's 1-writer row (registered first,
+/// run first) seeds and every other row must reproduce.
+struct ReferenceDigest {
+  std::uint64_t digest = 0;
+  bool seeded = false;
+};
 
-  // The 1-writer row registers first and runs first, seeding the digest
-  // every other writer count must reproduce.
-  static std::uint64_t reference_digest = 0;
-  static bool reference_seeded = false;
+/// One row of a writer-scaling family: the schedule over `tables` with
+/// Arg(0) writers, commit latency into histogram <hist_prefix><N>_us.
+void run_scaling_row(benchmark::State& state, const std::vector<std::string>& tables,
+                     const std::string& hist_prefix, ReferenceDigest& reference) {
+  const auto writers = static_cast<std::size_t>(state.range(0));
+  common::obs::Histogram& hist =
+      common::obs::global().histogram(hist_prefix + std::to_string(writers) + "_us");
 
   for (auto _ : state) {
     state.PauseTiming();
-    auto w = make_workload();
+    auto w = make_workload(tables);
     state.ResumeTiming();
 
-    run_writers(*w, writers, commit_us);
+    run_writers(*w, writers, hist);
 
     state.PauseTiming();
     const std::uint64_t digest = w->combined_digest();
-    if (!reference_seeded) {
-      reference_digest = digest;
-      reference_seeded = true;
-    } else if (digest != reference_digest) {
+    if (!reference.seeded) {
+      reference = {digest, true};
+    } else if (digest != reference.digest) {
       state.SkipWithError("notification streams diverged from the 1-writer run");
     }
     export_metrics(state, w->manager->metrics());
@@ -171,11 +201,31 @@ void BM_CommitPipelineWriters(benchmark::State& state) {
   state.counters["writers"] = static_cast<double>(writers);
 }
 
+void BM_CommitPipelineWriters(benchmark::State& state) {
+  static ReferenceDigest reference;
+  state.SetLabel("colliding shards");
+  run_scaling_row(state, colliding_tables(), "commit_pipeline_w", reference);
+}
+
 BENCHMARK(BM_CommitPipelineWriters)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
+    ->Iterations(3);
+
+void BM_CommitPipelineDisjoint(benchmark::State& state) {
+  static ReferenceDigest reference;
+  state.SetLabel("disjoint shards");
+  run_scaling_row(state, disjoint_tables(), "commit_pipeline_disjoint_w", reference);
+}
+
+BENCHMARK(BM_CommitPipelineDisjoint)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime()
     ->Iterations(3);
 
 /// Contended companion row: every transaction also writes a shared hot
@@ -190,13 +240,13 @@ void BM_CommitPipelineContended(benchmark::State& state) {
 
   for (auto _ : state) {
     state.PauseTiming();
-    auto w = make_workload();
+    auto w = make_workload(colliding_tables());
     w->db.create_table("HOT", rel::Schema::of({{"key", rel::ValueType::kInt}}));
     state.ResumeTiming();
 
     auto drive = [&w, writers](std::size_t writer) {
       for (std::size_t t = writer; t < kTables; t += writers) {
-        const std::string table = table_name(t);
+        const std::string& table = w->tables[t];
         for (std::size_t i = 0; i < kTxnsPerTable; ++i) {
           const std::uint64_t t0 = common::obs::now_ns();
           auto txn = w->db.begin();

@@ -30,6 +30,20 @@
 
 namespace cq::bench {
 
+/// Observability collection off for its scope, restored after: scenario
+/// set-up commits are not measured code, so they must not land in the
+/// --stats-json histograms (commit_to_notify_us and the commit spans).
+class CollectionPause {
+ public:
+  CollectionPause() { common::obs::set_enabled(false); }
+  ~CollectionPause() { common::obs::set_enabled(was_enabled_); }
+  CollectionPause(const CollectionPause&) = delete;
+  CollectionPause& operator=(const CollectionPause&) = delete;
+
+ private:
+  bool was_enabled_ = common::obs::enabled();
+};
+
 /// One prepared scenario: a table of `rows`, a snapshot of the CQ result,
 /// then `updates` random updates. The DRA evaluates (db, t0); the
 /// recompute baseline evaluates (db) and diffs against `before`.
@@ -53,6 +67,7 @@ inline const Scenario& selection_scenario(std::size_t rows, std::size_t updates,
                 static_cast<int>(delete_fraction * 1e6)};
   auto it = cache.find(key);
   if (it == cache.end()) {
+    const CollectionPause pause;
     auto s = std::make_unique<Scenario>();
     common::Rng rng(0xbe11c0de ^ rows ^ (updates << 20));
     s->table = std::make_unique<wl::SweepTable>(s->db, "S", rows, 64, rng);
@@ -89,6 +104,7 @@ inline const JoinScenario& join_scenario(std::size_t n_tables, std::size_t rows,
                 with_indexes};
   auto it = cache.find(key);
   if (it == cache.end()) {
+    const CollectionPause pause;
     auto s = std::make_unique<JoinScenario>();
     common::Rng rng(0x10adf00d ^ rows ^ (n_tables << 8));
     std::vector<const wl::SweepTable*> refs;

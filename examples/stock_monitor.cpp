@@ -37,7 +37,7 @@ int main() {
   // CQ 3: deletion notification — tell me when big-volume listings vanish
   // (the kind of query append-only continuous queries cannot express).
   auto delist_sink = std::make_shared<core::CollectingSink>();
-  manager.install(
+  const core::CqHandle delisted = manager.install(
       core::CqSpec::from_sql("delisted",
                              "SELECT symbol FROM Stocks WHERE volume > 50000",
                              core::triggers::on_change(), nullptr,
@@ -66,9 +66,9 @@ int main() {
 
   std::cout << "\nWork counters across all executions:\n"
             << manager.metrics().to_string();
-  std::cout << "Last DRA: " << manager.last_dra_stats().changed_relations
-            << " changed relations, " << manager.last_dra_stats().terms_evaluated
-            << " terms, " << manager.last_dra_stats().delta_rows_read
-            << " delta rows read\n";
+  const core::DraStats last = manager.last_dra_stats(delisted);
+  std::cout << "Last DRA of 'delisted': " << last.changed_relations
+            << " changed relations, " << last.terms_evaluated << " terms, "
+            << last.delta_rows_read << " delta rows read\n";
   return 0;
 }

@@ -19,11 +19,6 @@ Rules (scoped to src/ and examples/ unless noted):
                   queue-depth gauge. (tests/ may spawn threads to construct
                   race scenarios; the library may not.)
 
-  string-counter  No string-keyed Metrics::add("...") calls in library or
-                  example code. Hot-path counters must use the interned
-                  metric::Id table (common/metrics.hpp) so producers and
-                  consumers agree on spelling and the add is O(1).
-
   pragma-once     Every header (src/, tests/, examples/, bench/) starts its
                   include-guard life with #pragma once.
 
@@ -82,7 +77,6 @@ RAW_THREAD_RE = re.compile(r"std::(thread|jthread)\b")
 UNNAMED_MUTEX_RE = re.compile(
     r"\b(?:cq::)?(?:common::)?Mutex\s+\w+\s*(?:;|\{\s*\})"
 )
-STRING_COUNTER_RE = re.compile(r"\.add\(\s*\"")
 IOSTREAM_RE = re.compile(r"#include\s*<iostream>|std::(cout|cerr|clog)\b")
 COMMENT_RE = re.compile(r"^\s*(//|\*|/\*)")
 
@@ -141,7 +135,7 @@ def lint_tree(repo: Path) -> list[str]:
                 )
         return out
 
-    # raw-mutex + string-counter: src/, examples/ and fuzz/.
+    # raw-mutex, raw-thread and unnamed-mutex: src/, examples/ and fuzz/.
     for path in iter_files("src", "examples", "fuzz", suffixes=(".hpp", ".cpp", ".h")):
         rp = rel(path)
         for lineno, line in enumerate(path.read_text().splitlines(), 1):
@@ -159,11 +153,6 @@ def lint_tree(repo: Path) -> list[str]:
                 errors.append(
                     f"{rp}:{lineno}: raw-thread: std::{m.group(1)} outside "
                     "src/common — use cq::common::ThreadPool"
-                )
-            if STRING_COUNTER_RE.search(code):
-                errors.append(
-                    f"{rp}:{lineno}: string-counter: string-keyed .add(\"...\") — "
-                    "intern the counter in metric::Id (common/metrics.hpp)"
                 )
             if rp not in RAW_MUTEX_ALLOWED and UNNAMED_MUTEX_RE.search(code):
                 errors.append(
@@ -234,7 +223,6 @@ def self_test() -> int:
     cases = {
         "raw-mutex": ("src/bad_mutex.cpp", "static std::mutex mu;\n"),
         "raw-thread": ("src/bad_thread.cpp", "void f() { std::thread t; t.join(); }\n"),
-        "string-counter": ("src/bad_counter.cpp", 'void f(M& m) { m.add("ad_hoc", 1); }\n'),
         "pragma-once": ("src/bad_header.hpp", "struct NoGuard {};\n"),
         "iostream": ("src/bad_print.cpp", "#include <iostream>\n"),
         "fuzz-corpus": ("fuzz/fuzz_orphan.cpp", "int orphan_target();\n"),

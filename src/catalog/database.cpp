@@ -84,11 +84,9 @@ std::uint32_t Database::shard_mask(const std::vector<std::string>& tables) noexc
   return mask;
 }
 
-std::vector<std::string> Database::commit_closure(
-    const std::vector<std::string>& write_set) const {
-  std::vector<std::string> closure = write_set;
-  if (closure_hook_) closure_hook_(write_set, closure);
-  return closure;
+std::uint32_t Database::closure_mask(const std::vector<std::string>& write_set) const {
+  const std::uint32_t mask = shard_mask(write_set);
+  return closure_hook_ ? mask | closure_hook_(write_set) : mask;
 }
 
 common::Timestamp Database::allocate_commit_ts() {
@@ -107,18 +105,14 @@ std::uint64_t Database::shard_commits(std::size_t i) const noexcept {
   return shards_[i].commits.load(std::memory_order_relaxed);
 }
 
-rel::TupleId Database::reserve_tid(const std::string& table) {
-  Table& entry = table_entry(table);
-  ShardLockSet lock(*this, 1u << shard_of(table));
-  return entry.base.reserve_tid();
+rel::TupleId Database::reserve_tid(Table& table) {
+  ShardLockSet lock(*this, 1u << shard_of(table.name));
+  return table.base.reserve_tid();
 }
 
-void Database::unreserve_tid(const std::string& table, rel::TupleId tid) noexcept {
-  auto& shard = shards_[shard_of(table)];
-  auto it = shard.tables.find(table);
-  if (it == shard.tables.end()) return;
-  ShardLockSet lock(*this, 1u << shard_of(table));
-  it->second.base.unreserve_tid(tid);
+void Database::unreserve_tid(Table& table, rel::TupleId tid) noexcept {
+  ShardLockSet lock(*this, 1u << shard_of(table.name));
+  table.base.unreserve_tid(tid);
 }
 
 void Database::create_table(const std::string& name, rel::Schema schema) {
@@ -128,7 +122,7 @@ void Database::create_table(const std::string& name, rel::Schema schema) {
   }
   Shard& shard = shards_[shard_of(name)];
   ShardLockSet lock(*this, 1u << shard_of(name));
-  auto [it, inserted] = shard.tables.emplace(name, Table(std::move(schema)));
+  auto [it, inserted] = shard.tables.emplace(name, Table(name, std::move(schema)));
   (void)inserted;
   it->second.delta.set_name(name);
 }
@@ -168,29 +162,30 @@ const delta::DeltaRelation& Database::delta(const std::string& name) const {
   return table_entry(name).delta;
 }
 
-void Table::apply_insert(rel::Tuple row) {
-  base_bytes += row.byte_size();
-  base.insert(row);
-  for (auto& [name, index] : indexes) index.on_insert(row);
+void Table::apply_insert(rel::TupleId tid, std::vector<rel::Value> values) {
+  base.insert(rel::Tuple(std::move(values), tid));
+  const rel::Tuple& stored = *base.find(tid);
+  base_bytes += stored.byte_size();
+  for (auto& [index_name, index] : indexes) index.on_insert(stored);
 }
 
 rel::Tuple Table::apply_erase(rel::TupleId tid) {
   rel::Tuple old = base.erase(tid);
   base_bytes -= old.byte_size();
-  for (auto& [name, index] : indexes) index.on_erase(old);
+  for (auto& [index_name, index] : indexes) index.on_erase(old);
   return old;
 }
 
 rel::Tuple Table::apply_update(rel::TupleId tid, std::vector<rel::Value> values) {
-  rel::Tuple replacement(values, tid);
   rel::Tuple old = base.update(tid, std::move(values));
-  base_bytes += replacement.byte_size();
+  const rel::Tuple& stored = *base.find(tid);
+  base_bytes += stored.byte_size();
   base_bytes -= old.byte_size();
-  for (auto& [name, index] : indexes) index.on_update(old, replacement);
+  for (auto& [index_name, index] : indexes) index.on_update(old, stored);
   return old;
 }
 
-void Table::publish_gauges(const std::string& name) const {
+void Table::publish_gauges() const {
   namespace obs = common::obs;
   if (gauges_.rows == nullptr) {
     const obs::Labels labels{{"table", name}};
@@ -266,7 +261,7 @@ void Database::restore_table(const std::string& name, rel::Relation base,
   // Decoded rows arrive through append; key them before the table serves
   // tid lookups.
   base.key_by_tid();
-  Table table(base.schema());
+  Table table(name, base.schema());
   table.base = std::move(base);
   table.delta = std::move(log);
   table.delta.set_name(name);
@@ -316,7 +311,7 @@ std::size_t Database::garbage_collect() {
     ShardLockSet lock(*this, 1u << i);
     for (auto& [name, table] : shards_[i].tables) {
       reclaimed += table.delta.truncate_before(cutoff);
-      if (obs::enabled()) table.publish_gauges(name);
+      if (obs::enabled()) table.publish_gauges();
     }
   }
   obs::event(obs::Severity::kInfo, "gc_pass", "database",
@@ -342,7 +337,7 @@ std::size_t Database::delta_bytes() const noexcept {
 void Database::refresh_resource_gauges() const {
   for (std::size_t i = 0; i < kNumShards; ++i) {
     ShardLockSet lock(*this, 1u << i);
-    for (const auto& [name, table] : shards_[i].tables) table.publish_gauges(name);
+    for (const auto& [name, table] : shards_[i].tables) table.publish_gauges();
   }
 }
 
@@ -364,7 +359,7 @@ void Database::notify_commit(const std::vector<std::string>& tables,
     for (const auto& name : tables) {
       const auto& shard_tables = shards_[shard_of(name)].tables;
       auto it = shard_tables.find(name);
-      if (it != shard_tables.end()) it->second.publish_gauges(name);
+      if (it != shard_tables.end()) it->second.publish_gauges();
     }
     for (std::size_t i = 0; i < kNumShards; ++i) {
       if ((touched_shards & (1u << i)) == 0) continue;

@@ -45,6 +45,8 @@ class ShardLockSet;
 
 /// One base relation together with its change log and persistent indexes.
 struct Table {
+  /// The catalog name, as the shard map keys it.
+  std::string name;
   rel::Relation base;
   delta::DeltaRelation delta;
   /// Indexes by name, kept in sync by the commit apply pass.
@@ -55,19 +57,23 @@ struct Table {
 
   /// `base` starts keyed (rel::Relation::keyed_table): commits look rows up
   /// by tid through its slot table.
-  explicit Table(rel::Schema schema)
-      : base(rel::Relation::keyed_table(schema)), delta(std::move(schema)) {}
+  Table(std::string table_name, rel::Schema schema)
+      : name(std::move(table_name)),
+        base(rel::Relation::keyed_table(schema)),
+        delta(std::move(schema)) {}
 
   // Mutations that keep base, indexes, and byte accounting consistent
-  // (used by Transaction).
-  void apply_insert(rel::Tuple row);
+  // (used by Transaction). Each moves its values into the stored row and
+  // reads that row for the indexes and the byte total; erase and update
+  // return the displaced row.
+  void apply_insert(rel::TupleId tid, std::vector<rel::Value> values);
   rel::Tuple apply_erase(rel::TupleId tid);
   rel::Tuple apply_update(rel::TupleId tid, std::vector<rel::Value> values);
 
   /// Publish this table's row/byte levels to the global observability
   /// registry (gauge families relation_rows/relation_bytes/delta_rows/
   /// delta_bytes, label table=`name`). Gauge refs resolve once.
-  void publish_gauges(const std::string& name) const;
+  void publish_gauges() const;
 
  private:
   struct GaugeRefs {
@@ -196,13 +202,13 @@ class Database {
       std::function<void(const std::vector<std::string>&, common::Timestamp)>;
   void set_commit_hook(CommitHook hook) { commit_hook_ = std::move(hook); }
 
-  /// Closure hook: given a commit's write set, append every further table
-  /// the commit hook will read (the read sets of the CQs the write set
-  /// can trigger). Commit acquires the shard locks of the whole closure,
-  /// so disjoint-closure commits run fully concurrently while commits
-  /// sharing a CQ serialize. Without a hook the closure is the write set.
-  using ClosureHook = std::function<void(const std::vector<std::string>& write_set,
-                                         std::vector<std::string>& closure)>;
+  /// Closure hook: given a commit's write set, return the shard mask
+  /// (bit i = shard i) of every further table the commit hook will read
+  /// (the read sets of the CQs the write set can trigger). Commit acquires
+  /// the shard locks of the write set and of this mask, so disjoint-closure
+  /// commits run fully concurrently while commits sharing a CQ serialize.
+  /// Without a hook the closure is the write set.
+  using ClosureHook = std::function<std::uint32_t(const std::vector<std::string>& write_set)>;
   void set_commit_closure_hook(ClosureHook hook) { closure_hook_ = std::move(hook); }
 
  private:
@@ -229,10 +235,9 @@ class Database {
   [[nodiscard]] static std::uint32_t shard_mask(
       const std::vector<std::string>& tables) noexcept;
 
-  /// The commit closure of `write_set`: the write set itself plus
-  /// whatever the closure hook appends.
-  [[nodiscard]] std::vector<std::string> commit_closure(
-      const std::vector<std::string>& write_set) const;
+  /// Shard mask of the commit closure of `write_set`: the write set's
+  /// shards plus whatever the closure hook adds.
+  [[nodiscard]] std::uint32_t closure_mask(const std::vector<std::string>& write_set) const;
 
   /// Allocate the commit timestamp and the global commit sequence number
   /// as one atomic step (the "commit_ts" critical section). Called with
@@ -242,8 +247,8 @@ class Database {
 
   /// Reserve / return a tid under the table's shard lock (Transaction
   /// insert/abort — reservation must not race concurrent writers).
-  [[nodiscard]] rel::TupleId reserve_tid(const std::string& table);
-  void unreserve_tid(const std::string& table, rel::TupleId tid) noexcept;
+  [[nodiscard]] rel::TupleId reserve_tid(Table& table);
+  void unreserve_tid(Table& table, rel::TupleId tid) noexcept;
 
   void notify_commit(const std::vector<std::string>& tables, common::Timestamp ts);
 

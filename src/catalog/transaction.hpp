@@ -12,13 +12,24 @@
 //
 // Commit pipeline (multi-writer): compute the commit closure (write set
 // plus the read sets of the CQs it can trigger), acquire the closure's
-// shard locks in ascending shard order, validate, apply all-or-nothing
-// (a failure mid-apply rolls every applied op back), allocate the commit
-// timestamp in the "commit_ts" critical section, append the net effect
-// to the delta logs, and dispatch notifications — all before releasing
-// the shards. Transactions over disjoint closures run this whole
-// pipeline concurrently; conflicting ones serialize on their shared
-// shards, so each CQ still observes exactly the sequential order.
+// shard locks in ascending shard order, then make one grouped pass over
+// the ops and dispatch notifications — all before releasing the shards.
+// Transactions over disjoint closures run this whole pipeline
+// concurrently; conflicting ones serialize on their shared shards, so
+// each CQ still observes exactly the sequential order.
+//
+// The grouped pass: each op resolves its Table once, when it is queued.
+// One sort of op indexes groups the ops by (table name, tid), keeping op
+// order inside a group; the groups come out in the order the net-effect
+// rows are appended. Validation walks each group in op order and throws
+// for the earliest failing op. Apply then runs in op order and moves each
+// op's values into its table; the op keeps the pre-image it displaced, so
+// the ops themselves are the undo journal. Stamping writes one delta row
+// per group: the group's first pre-image moved out as the old half, and
+// one copy of the stored row as the new half. A failure mid-apply replays
+// the journal in reverse and hands every op its values back: the tables
+// (same rows, by tid), their indexes and byte totals, the delta logs and
+// the queued ops are as they were, and commit() may be called again.
 #pragma once
 
 #include <functional>
@@ -33,6 +44,7 @@
 namespace cq::cat {
 
 class Database;
+struct Table;
 
 class Transaction {
  public:
@@ -56,10 +68,11 @@ class Transaction {
 
   /// Validate and apply every queued op atomically, append the net effect to
   /// the differential relations, and return the commit timestamp. A
-  /// validation failure (unknown table/tid, double delete, arity mismatch)
-  /// throws and leaves the database untouched; a failure mid-apply rolls
-  /// back the already-applied ops before rethrowing, so the base tables
-  /// never expose a partial transaction.
+  /// validation failure (unknown tid, double delete, duplicate insert)
+  /// throws for the earliest failing op and leaves the database untouched;
+  /// a failure mid-apply rolls back the already-applied ops before
+  /// rethrowing, so the base tables never expose a partial transaction.
+  /// Either way the transaction stays active with its ops intact.
   common::Timestamp commit();
 
   /// Discard all queued ops. Reserved tids are returned when no later
@@ -86,17 +99,23 @@ class Transaction {
 
   struct Op {
     OpKind kind;
-    std::string table;
+    Table* table;  // resolved when the op is queued
     rel::TupleId tid;
-    std::vector<rel::Value> values;  // new values for insert/modify
+    /// Queued: the new values of an insert/modify. While commit() has the
+    /// op applied: the row's pre-image (delete/modify; empty for insert).
+    std::vector<rel::Value> values;
   };
 
   void require_active() const;
+  /// Apply `op` to its table, leaving the pre-image in its values.
+  static void apply(Op& op);
+  /// Undo apply(op): the table gets the pre-image back, op its values.
+  static void undo(Op& op);
 
   Database* db_;
   std::vector<Op> ops_;
   /// Tids reserved by insert(), in reservation order; unwound on abort.
-  std::vector<std::pair<std::string, rel::TupleId>> reserved_;
+  std::vector<std::pair<Table*, rel::TupleId>> reserved_;
   std::function<void(std::size_t)> apply_fault_hook_;
   State state_ = State::kActive;
 };

@@ -62,8 +62,12 @@ enum class LockRank : std::uint16_t {
   kCqEntries = 26,
   /// DeltaZoneRegistry per-relation zone clocks.
   kDeltaZones = 28,
-  /// CqManager per-CQ stats registry.
+  /// CqManager history of finished CQs' stats, and the manager-wide
+  /// metrics bag the per-CQ bags fold into on read.
   kCqStats = 30,
+  /// One installed CQ's stats, metrics and latest DRA stats (CqManager
+  /// entry): taken by the thread evaluating that CQ and by stats readers.
+  kCqEntryStats = 32,
   /// core::LineageStore retention rings (delivery-time recording).
   kLineageStore = 35,
   /// ThreadPool queue mutex — acquired by the dispatcher while the

@@ -23,14 +23,6 @@ std::uint64_t rows_delivered(const Notification& note) {
   return rows;
 }
 
-/// True when `relations` names any of `tables`.
-bool reads_any(const std::vector<std::string>& relations,
-               const std::vector<std::string>& tables) {
-  return std::any_of(tables.begin(), tables.end(), [&](const std::string& t) {
-    return std::find(relations.begin(), relations.end(), t) != relations.end();
-  });
-}
-
 obs::Histogram& cq_exec_histogram() {
   static obs::Histogram& h = obs::global().histogram(obs::hist::kCqExecUs);
   return h;
@@ -51,6 +43,25 @@ obs::Gauge& parallelism_gauge() {
 /// execution never re-triggers itself") must be per-thread — a bool
 /// member would make one writer's dispatch swallow another's.
 thread_local const void* t_dispatching = nullptr;
+
+/// Dispatches (of any manager) running on this thread. Retired entries
+/// and routing snapshots are freed only at depth 0: a sink that installs
+/// or removes a CQ must not free what the dispatch around it still holds.
+thread_local int t_dispatch_depth = 0;
+
+/// Sum `s`'s counters into `into`; its latest-execution fields win.
+void fold_stats(CqStats& into, const CqStats& s) {
+  into.executions += s.executions;
+  into.trigger_checks += s.trigger_checks;
+  into.fired += s.fired;
+  into.suppressed += s.suppressed;
+  into.delta_rows_consumed += s.delta_rows_consumed;
+  into.rows_delivered += s.rows_delivered;
+  into.last_exec_ns = s.last_exec_ns;
+  into.total_exec_ns += s.total_exec_ns;
+  into.last_execution = s.last_execution;
+  into.finished = into.finished && s.finished;
+}
 
 /// Restores the guard even when a CQ execution throws, so one failed
 /// dispatch cannot wedge every future commit into a silent no-op.
@@ -93,19 +104,21 @@ class PoolLease {
 /// One eligible CQ's evaluation within a dispatch: written by the lane
 /// that evaluates it, replayed in handle order by the merge.
 struct CqManager::Outcome {
-  CqHandle handle = 0;
   Entry* entry = nullptr;
   bool stop_pre = false;
   bool fired = false;
   bool stop_post = false;
   Notification note;
   DraStats stats;
-  common::Metrics local;  // merged into metrics_ in handle order
+  common::Metrics local;  // merged into the entry's bag in handle order
   std::uint64_t elapsed_ns = 0;
   std::exception_ptr error;
 };
 
-CqManager::CqManager(cat::Database& db) : db_(db) {}
+CqManager::CqManager(cat::Database& db) : db_(db) {
+  common::LockGuard lock(entries_mu_);
+  publish_routes();
+}
 
 CqManager::~CqManager() {
   if (eager_) {
@@ -114,60 +127,88 @@ CqManager::~CqManager() {
   }
 }
 
-CqStats& CqManager::stats_of(const Entry& entry) {
-  CqStats& s = stats_[entry.query->name()];
-  s.name = entry.query->name();
-  return s;
-}
-
-CqManager::Entry* CqManager::find_entry(CqHandle handle) {
+CqManager::Entry* CqManager::find_entry(CqHandle handle) const {
   common::LockGuard lock(entries_mu_);
   auto it = entries_.find(handle);
-  return it == entries_.end() ? nullptr : &it->second;
+  return it == entries_.end() ? nullptr : it->second.get();
 }
 
-void CqManager::extend_closure(const std::vector<std::string>& write_set,
-                               std::vector<std::string>& closure) const {
-  common::LockGuard lock(entries_mu_);
+void CqManager::publish_routes() {
+  auto routes = std::make_unique<Routes>();
   for (const auto& [h, e] : entries_) {
-    const auto& relations = e.query->relations();
-    if (!reads_any(relations, write_set)) continue;
-    // Duplicates are fine: the closure only feeds the shard-mask OR.
-    closure.insert(closure.end(), relations.begin(), relations.end());
+    const auto& relations = e->query->relations();
+    std::uint32_t mask = 0;
+    for (const auto& r : relations) mask |= 1u << cat::Database::shard_of(r);
+    for (const auto& r : relations) {
+      TableRoutes& table = routes->by_table[r];
+      // A self-join names its table twice; route the CQ once.
+      if (table.entries.empty() || table.entries.back() != e.get()) {
+        table.entries.push_back(e.get());
+      }
+      table.read_mask |= mask;
+    }
+    routes->all.push_back(e.get());
   }
+  route_versions_.push_back(std::move(routes));
+  routes_.store(route_versions_.back().get(), std::memory_order_release);
+}
+
+void CqManager::free_retired() {
+  if (t_dispatch_depth != 0) return;
+  retired_entries_.clear();
+  route_versions_.erase(route_versions_.begin(), route_versions_.end() - 1);
+}
+
+std::uint32_t CqManager::closure_mask(const std::vector<std::string>& write_set) const {
+  const Routes& routes = *routes_.load(std::memory_order_acquire);
+  std::uint32_t mask = 0;
+  for (const auto& table : write_set) {
+    auto it = routes.by_table.find(table);
+    if (it != routes.by_table.end()) mask |= it->second.read_mask;
+  }
+  return mask;
+}
+
+void CqManager::adopt_history(Entry& entry) {
+  common::LockGuard lock(stats_mu_);
+  common::LockGuard entry_lock(entry.stats_mu);
+  auto node = history_.extract(entry.query->name());
+  if (!node.empty()) entry.stats = std::move(node.mapped());
+  entry.stats.name = entry.query->name();
+  entry.stats.finished = false;
 }
 
 CqHandle CqManager::install(CqSpec spec, std::shared_ptr<ResultSink> sink) {
-  Entry entry;
-  entry.query = std::make_unique<ContinualQuery>(std::move(spec), db_);
-  entry.sink = std::move(sink);
+  auto entry = std::make_unique<Entry>();
+  entry->query = std::make_unique<ContinualQuery>(std::move(spec), db_);
+  entry->sink = std::move(sink);
 
   obs::Span span("cq.install");
   common::Metrics local;
   const std::uint64_t t0 = obs::now_ns();
-  const Notification initial = entry.query->execute_initial(db_, &local);
+  const Notification initial = entry->query->execute_initial(db_, &local);
   const std::uint64_t elapsed = obs::now_ns() - t0;
-  entry.zone_id = db_.zones().register_cq(entry.query->last_execution());
+  entry->zone_id = db_.zones().register_cq(entry->query->last_execution());
   record_lineage(initial);
-  if (entry.sink) entry.sink->on_result(initial);
+  if (entry->sink) entry->sink->on_result(initial);
 
+  adopt_history(*entry);
   {
-    common::LockGuard lock(stats_mu_);
-    metrics_.merge(local);
-    CqStats& s = stats_of(entry);
+    common::LockGuard lock(entry->stats_mu);
+    entry->metrics.merge(local);
+    CqStats& s = entry->stats;
     s.executions = 1;
-    s.finished = false;
     s.last_exec_ns = elapsed;
     s.total_exec_ns += elapsed;
     s.rows_delivered += rows_delivered(initial);
-    s.last_execution = entry.query->last_execution();
+    s.last_execution = entry->query->last_execution();
   }
   if (obs::enabled()) cq_exec_histogram().record(elapsed / 1000);
 
-  common::log_info("installed CQ '", entry.query->name(), "' trigger=",
-                   entry.query->spec().trigger->describe());
-  obs::event(obs::Severity::kInfo, "cq_installed", entry.query->name(),
-             "trigger=" + entry.query->spec().trigger->describe(),
+  common::log_info("installed CQ '", entry->query->name(), "' trigger=",
+                   entry->query->spec().trigger->describe());
+  obs::event(obs::Severity::kInfo, "cq_installed", entry->query->name(),
+             "trigger=" + entry->query->spec().trigger->describe(),
              db_.clock().now().ticks());
   return add_entry(std::move(entry));
 }
@@ -175,29 +216,31 @@ CqHandle CqManager::install(CqSpec spec, std::shared_ptr<ResultSink> sink) {
 CqHandle CqManager::install_restored(CqSpec spec, std::shared_ptr<ResultSink> sink,
                                      common::Timestamp last_execution,
                                      std::uint64_t executions) {
-  Entry entry;
-  entry.query = std::make_unique<ContinualQuery>(std::move(spec), db_);
-  entry.sink = std::move(sink);
-  entry.query->restore(db_, last_execution, executions);
-  entry.zone_id = db_.zones().register_cq(last_execution);
+  auto entry = std::make_unique<Entry>();
+  entry->query = std::make_unique<ContinualQuery>(std::move(spec), db_);
+  entry->sink = std::move(sink);
+  entry->query->restore(db_, last_execution, executions);
+  entry->zone_id = db_.zones().register_cq(last_execution);
 
+  adopt_history(*entry);
   {
-    common::LockGuard lock(stats_mu_);
-    CqStats& s = stats_of(entry);
-    s.executions = executions;
-    s.finished = false;
-    s.last_execution = last_execution;
+    common::LockGuard lock(entry->stats_mu);
+    entry->stats.executions = executions;
+    entry->stats.last_execution = last_execution;
   }
 
-  common::log_info("restored CQ '", entry.query->name(), "' at t=",
+  common::log_info("restored CQ '", entry->query->name(), "' at t=",
                    last_execution.to_string(), " after ", executions, " executions");
   return add_entry(std::move(entry));
 }
 
-CqHandle CqManager::add_entry(Entry entry) {
+CqHandle CqManager::add_entry(std::unique_ptr<Entry> entry) {
   common::LockGuard lock(entries_mu_);
   const CqHandle handle = next_handle_++;
+  entry->handle = handle;
   entries_.emplace(handle, std::move(entry));
+  publish_routes();
+  free_retired();
   active_cq_gauge().set(static_cast<std::int64_t>(entries_.size()));
   return handle;
 }
@@ -206,44 +249,67 @@ void CqManager::remove(CqHandle handle) {
   if (!finish(handle, "removed")) {
     throw common::NotFound("CqManager: unknown handle " + std::to_string(handle));
   }
+  common::LockGuard lock(entries_mu_);
+  free_retired();
 }
 
 bool CqManager::finish(CqHandle handle, const char* reason) {
   common::LockGuard lock(entries_mu_);
   auto it = entries_.find(handle);
   if (it == entries_.end()) return false;
-  ContinualQuery& query = *it->second.query;
+  Entry& entry = *it->second;
+  ContinualQuery& query = *entry.query;
   query.mark_finished();
   common::log_info("CQ '", query.name(), "' terminated: ", reason);
   obs::event(obs::Severity::kInfo, "cq_terminated", query.name(), reason,
              db_.clock().now().ticks());
+  db_.zones().unregister(entry.zone_id);
   {
     common::LockGuard stats_lock(stats_mu_);
-    stats_of(it->second).finished = true;
+    common::LockGuard entry_lock(entry.stats_mu);
+    entry.stats.finished = true;
+    auto [slot, fresh] = history_.try_emplace(query.name(), entry.stats);
+    if (!fresh) fold_stats(slot->second, entry.stats);
+    metrics_.merge(entry.metrics);
+    entry.metrics.reset();
   }
-  db_.zones().unregister(it->second.zone_id);
+  retired_entries_.push_back(std::move(it->second));
   entries_.erase(it);
+  publish_routes();
   active_cq_gauge().set(static_cast<std::int64_t>(entries_.size()));
   return true;
 }
 
-void CqManager::record_check(const Entry& entry, bool fired) {
+void CqManager::record(const Outcome& out, bool checked) {
+  Entry& entry = *out.entry;
   {
-    common::LockGuard lock(stats_mu_);
-    metrics_.add(common::metric::kTriggerChecks, 1);
-    CqStats& s = stats_of(entry);
-    ++s.trigger_checks;
-    if (fired) {
-      ++s.fired;
-      metrics_.add(common::metric::kTriggersFired, 1);
-    } else {
-      ++s.suppressed;
-      metrics_.add(common::metric::kTriggersSuppressed, 1);
+    common::LockGuard lock(entry.stats_mu);
+    CqStats& s = entry.stats;
+    if (checked) {
+      entry.metrics.add(common::metric::kTriggerChecks, 1);
+      ++s.trigger_checks;
+      if (out.fired) {
+        ++s.fired;
+        entry.metrics.add(common::metric::kTriggersFired, 1);
+      } else {
+        ++s.suppressed;
+        entry.metrics.add(common::metric::kTriggersSuppressed, 1);
+      }
+    }
+    if (out.fired) {
+      entry.last_dra = out.stats;
+      entry.metrics.merge(out.local);
+      ++s.executions;
+      s.last_exec_ns = out.elapsed_ns;
+      s.total_exec_ns += out.elapsed_ns;
+      s.delta_rows_consumed += out.stats.delta_rows_read;
+      s.rows_delivered += rows_delivered(out.note);
+      s.last_execution = entry.query->last_execution();
     }
   }
-  if (obs::enabled()) {
-    obs::event(fired ? obs::Severity::kInfo : obs::Severity::kDebug,
-               fired ? "trigger_fired" : "trigger_suppressed", entry.query->name(), "",
+  if (checked && obs::enabled()) {
+    obs::event(out.fired ? obs::Severity::kInfo : obs::Severity::kDebug,
+               out.fired ? "trigger_fired" : "trigger_suppressed", entry.query->name(), "",
                db_.clock().now().ticks());
   }
 }
@@ -286,18 +352,6 @@ bool CqManager::evaluate(Outcome& out, const delta::SnapshotMap& snapshots) {
 
 void CqManager::deliver(Outcome& out) {
   Entry& entry = *out.entry;
-  {
-    common::LockGuard lock(stats_mu_);
-    last_stats_ = out.stats;
-    metrics_.merge(out.local);
-    CqStats& s = stats_of(entry);
-    ++s.executions;
-    s.last_exec_ns = out.elapsed_ns;
-    s.total_exec_ns += out.elapsed_ns;
-    s.delta_rows_consumed += out.stats.delta_rows_read;
-    s.rows_delivered += rows_delivered(out.note);
-    s.last_execution = entry.query->last_execution();
-  }
   if (obs::enabled()) {
     cq_exec_histogram().record(out.elapsed_ns / 1000);
     obs::event(obs::Severity::kInfo, "cq_delivered", entry.query->name(),
@@ -310,10 +364,15 @@ void CqManager::deliver(Outcome& out) {
     obs::Span notify_span("cq.notify");
     entry.sink->on_result(out.note);
   }
-  if (out.stop_post) (void)finish(out.handle, "stop condition reached");
+  if (out.stop_post) (void)finish(entry.handle, "stop condition reached");
 }
 
 std::size_t CqManager::dispatch(const std::vector<std::string>* tables) {
+  struct Depth {
+    Depth() { ++t_dispatch_depth; }
+    ~Depth() { --t_dispatch_depth; }
+  } depth;
+
   // ---- one outcome slot per eligible CQ, in handle order ----
   // The slots live in this thread's spare buffer rather than a fresh array
   // per commit (an Outcome is ~1.3 KB). The loan takes the buffer by
@@ -328,14 +387,29 @@ std::size_t CqManager::dispatch(const std::vector<std::string>* tables) {
     }
   } loan;
   std::vector<Outcome>& outcomes = loan.buffer;
-  {
-    common::LockGuard lock(entries_mu_);
-    for (auto& [h, e] : entries_) {
-      if (tables != nullptr && !reads_any(e.query->relations(), *tables)) continue;
-      outcomes.emplace_back();
-      outcomes.back().handle = h;
-      outcomes.back().entry = &e;
+  // The eligible CQs come from the routing snapshot, without a lock: the
+  // committed tables' route lists, merged in handle order when a commit
+  // wrote several tables.
+  const Routes& routes = *routes_.load(std::memory_order_acquire);
+  const auto add = [&outcomes](Entry* e) { outcomes.emplace_back().entry = e; };
+  if (tables == nullptr) {
+    for (Entry* e : routes.all) add(e);
+  } else if (tables->size() == 1) {
+    auto it = routes.by_table.find(tables->front());
+    if (it != routes.by_table.end()) {
+      for (Entry* e : it->second.entries) add(e);
     }
+  } else {
+    std::vector<Entry*> eligible;
+    for (const auto& table : *tables) {
+      auto it = routes.by_table.find(table);
+      if (it == routes.by_table.end()) continue;
+      eligible.insert(eligible.end(), it->second.entries.begin(), it->second.entries.end());
+    }
+    std::sort(eligible.begin(), eligible.end(),
+              [](const Entry* a, const Entry* b) { return a->handle < b->handle; });
+    eligible.erase(std::unique(eligible.begin(), eligible.end()), eligible.end());
+    for (Entry* e : eligible) add(e);
   }
   if (outcomes.empty()) return 0;
 
@@ -367,17 +441,17 @@ std::size_t CqManager::dispatch(const std::vector<std::string>* tables) {
   for (Outcome& out : outcomes) {
     if (out.error || out.stop_pre) {
       {
-        common::LockGuard lock(stats_mu_);
-        metrics_.add(common::metric::kTriggerChecks, 1);
+        common::LockGuard lock(out.entry->stats_mu);
+        out.entry->metrics.add(common::metric::kTriggerChecks, 1);
       }
       if (out.error) {
         if (!first_error) first_error = out.error;
         break;
       }
-      (void)finish(out.handle, "stop condition reached");
+      (void)finish(out.entry->handle, "stop condition reached");
       continue;
     }
-    record_check(*out.entry, out.fired);
+    record(out, /*checked=*/true);
     if (!out.fired) continue;
     ++executed;
     // The CQs after a throwing sink have already executed (cursor, saved
@@ -438,8 +512,7 @@ void CqManager::set_eager(bool eager) {
     // The closure hook first: a commit arriving between the two set
     // calls must never dispatch without its closure being locked.
     db_.set_commit_closure_hook(
-        [this](const std::vector<std::string>& write_set,
-               std::vector<std::string>& closure) { extend_closure(write_set, closure); });
+        [this](const std::vector<std::string>& write_set) { return closure_mask(write_set); });
     db_.set_commit_hook([this](const std::vector<std::string>& tables,
                                common::Timestamp ts) { on_commit(tables, ts); });
   } else {
@@ -456,12 +529,13 @@ void CqManager::on_commit(const std::vector<std::string>& tables, common::Timest
 
 Notification CqManager::execute_now(CqHandle handle) {
   Outcome out;
-  out.handle = handle;
   out.entry = find_entry(handle);
   if (out.entry == nullptr) {
     throw common::NotFound("CqManager: unknown handle " + std::to_string(handle));
   }
   execute(out, snapshot_deltas(db_, out.entry->query->relations()));
+  out.fired = true;
+  record(out, /*checked=*/false);
   deliver(out);
   return std::move(out.note);
 }
@@ -489,33 +563,61 @@ std::size_t CqManager::collect_garbage() {
 }
 
 const ContinualQuery& CqManager::cq(CqHandle handle) const {
-  common::LockGuard lock(entries_mu_);
-  auto it = entries_.find(handle);
-  if (it == entries_.end()) {
+  const Entry* entry = find_entry(handle);
+  if (entry == nullptr) {
     throw common::NotFound("CqManager: unknown handle " + std::to_string(handle));
   }
-  return *it->second.query;
+  return *entry->query;
 }
 
 CqStats CqManager::stats(CqHandle handle) const {
-  std::string name;
-  {
-    common::LockGuard lock(entries_mu_);
-    auto it = entries_.find(handle);
-    if (it == entries_.end()) {
-      throw common::NotFound("CqManager: unknown handle " + std::to_string(handle));
-    }
-    name = it->second.query->name();
+  const Entry* entry = find_entry(handle);
+  if (entry == nullptr) {
+    throw common::NotFound("CqManager: unknown handle " + std::to_string(handle));
   }
-  common::LockGuard lock(stats_mu_);
-  auto stats_it = stats_.find(name);
-  CQ_ASSERT(stats_it != stats_.end());
-  return stats_it->second;
+  common::LockGuard lock(entry->stats_mu);
+  return entry->stats;
+}
+
+DraStats CqManager::last_dra_stats(CqHandle handle) const {
+  const Entry* entry = find_entry(handle);
+  if (entry == nullptr) {
+    throw common::NotFound("CqManager: unknown handle " + std::to_string(handle));
+  }
+  common::LockGuard lock(entry->stats_mu);
+  return entry->last_dra;
 }
 
 std::map<std::string, CqStats> CqManager::cq_stats() const {
-  common::LockGuard lock(stats_mu_);
-  return stats_;
+  common::LockGuard lock(entries_mu_);
+  common::LockGuard stats_lock(stats_mu_);
+  std::map<std::string, CqStats> out = history_;
+  for (const auto& [h, e] : entries_) {
+    common::LockGuard entry_lock(e->stats_mu);
+    auto [slot, fresh] = out.try_emplace(e->stats.name, e->stats);
+    if (!fresh) fold_stats(slot->second, e->stats);
+  }
+  return out;
+}
+
+void CqManager::fold_metrics() const {
+  common::LockGuard lock(entries_mu_);
+  common::LockGuard stats_lock(stats_mu_);
+  for (const auto& [h, e] : entries_) {
+    common::LockGuard entry_lock(e->stats_mu);
+    metrics_.merge(e->metrics);
+    e->metrics.reset();
+  }
+}
+
+common::Metrics& CqManager::metrics() {
+  fold_metrics();
+  return metrics_;
+}
+
+const common::Metrics& CqManager::metrics() const {
+  fold_metrics();
+  return metrics_;
 }
 
 std::vector<CqHandle> CqManager::handles() const {
@@ -527,9 +629,8 @@ std::vector<CqHandle> CqManager::handles() const {
 }
 
 void CqManager::write_stats_json(common::obs::JsonWriter& w) const {
-  common::LockGuard lock(stats_mu_);
   w.begin_object();
-  for (const auto& [name, s] : stats_) {
+  for (const auto& [name, s] : cq_stats()) {
     w.key(name).begin_object();
     w.kv("executions", s.executions);
     w.kv("trigger_checks", s.trigger_checks);
@@ -551,10 +652,9 @@ common::obs::Section CqManager::stats_section() const {
 }
 
 void CqManager::write_prometheus(common::obs::PromWriter& w) const {
-  common::LockGuard lock(stats_mu_);
   // active_cqs itself lives in the registry (maintained at install/remove),
   // so it is not re-emitted here — one sample per (name, labels).
-  for (const auto& [name, s] : stats_) {
+  for (const auto& [name, s] : cq_stats()) {
     const obs::Labels labels{{"cq", name}};
     w.counter("executions", static_cast<std::int64_t>(s.executions), labels);
     w.counter("trigger_checks", static_cast<std::int64_t>(s.trigger_checks), labels);
@@ -572,13 +672,19 @@ std::function<void(common::obs::PromWriter&)> CqManager::prometheus_section() co
 }
 
 void CqManager::reset_stats() {
+  // Zero in place: the name/finished fields describe identity, not work.
+  const auto zeroed = [](const CqStats& s) {
+    return CqStats{.name = s.name, .last_execution = s.last_execution, .finished = s.finished};
+  };
+  common::LockGuard lock(entries_mu_);
+  common::LockGuard stats_lock(stats_mu_);
   metrics_.reset();
-  common::LockGuard lock(stats_mu_);
-  last_stats_ = DraStats{};
-  // Zero in place: stats(handle) relies on every installed CQ keeping its
-  // record, and the name/finished fields describe identity, not work.
-  for (auto& [name, s] : stats_) {
-    s = CqStats{.name = s.name, .last_execution = s.last_execution, .finished = s.finished};
+  for (auto& [name, s] : history_) s = zeroed(s);
+  for (const auto& [h, e] : entries_) {
+    common::LockGuard entry_lock(e->stats_mu);
+    e->stats = zeroed(e->stats);
+    e->metrics.reset();
+    e->last_dra = DraStats{};
   }
 }
 

@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "catalog/database.hpp"
@@ -27,9 +28,10 @@ namespace cq::core {
 /// Handle to an installed CQ.
 using CqHandle = std::uint64_t;
 
-/// Per-CQ statistics, kept by name in the manager's registry. Entries
-/// survive removal / Stop so a whole deployment's history is inspectable
-/// (cqshell STATS, observability export).
+/// Per-CQ statistics. A live CQ keeps its own record; at removal / Stop
+/// the record moves into the manager's name-keyed history, so a whole
+/// deployment's history is inspectable (cqshell STATS, observability
+/// export). A CQ installed under a finished CQ's name continues its record.
 struct CqStats {
   std::string name;
   std::uint64_t executions = 0;       // including the initial E_0
@@ -127,25 +129,28 @@ class CqManager {
   [[nodiscard]] std::vector<CqHandle> handles() const;
 
   /// Work counters accumulated across all executions (rows scanned, delta
-  /// rows read, trigger checks, ...).
-  [[nodiscard]] common::Metrics& metrics() noexcept { return metrics_; }
-  [[nodiscard]] const common::Metrics& metrics() const noexcept { return metrics_; }
+  /// rows read, trigger checks, ...). Each CQ counts into its own bag; a
+  /// call folds those bags into the manager-wide one under the stats
+  /// mutexes and returns it. The reference stays valid, but only the
+  /// caller's thread may read it until the next fold: concurrent readers
+  /// must serialize among themselves (cqshell holds its engine lock).
+  /// Writes through the mutable reference (the diom mediator's shipping
+  /// counters) follow the same rule.
+  [[nodiscard]] common::Metrics& metrics();
+  [[nodiscard]] const common::Metrics& metrics() const;
 
-  /// Stats of the most recent DRA invocation (for EXPLAIN-style output).
-  /// A copy: the record is overwritten by whichever thread dispatched the
-  /// latest commit.
-  [[nodiscard]] DraStats last_dra_stats() const {
-    common::LockGuard lock(stats_mu_);
-    return last_stats_;
-  }
+  /// Stats of the most recent DRA invocation of a live CQ (for
+  /// EXPLAIN-style output). A copy; DraStats{} before its first
+  /// incremental execution.
+  [[nodiscard]] DraStats last_dra_stats(CqHandle handle) const;
 
   /// Per-CQ statistics for a live handle. Returns a copy: the live record
-  /// is guarded by the stats mutex and keeps moving while introspection
-  /// handlers read.
+  /// keeps moving while introspection handlers read.
   [[nodiscard]] CqStats stats(CqHandle handle) const;
 
-  /// The whole registry, keyed by CQ name; includes finished/removed CQs.
-  /// Returns a copy (see stats()).
+  /// Every CQ's stats keyed by name, including finished/removed CQs (live
+  /// CQs that share a name are summed). Returns a copy, each record taken
+  /// under its CQ's own mutex, so every record is internally consistent.
   [[nodiscard]] std::map<std::string, CqStats> cq_stats() const;
 
   /// Emit the registry as a JSON object {cq_name: {...}} into `w`.
@@ -168,37 +173,71 @@ class CqManager {
   void reset_stats();
 
  private:
+  /// One installed CQ. Immovable (it owns a mutex) and never freed while
+  /// a commit may still hold it: a finished entry is retired and freed at
+  /// the next quiescent point (install/remove outside a dispatch).
   struct Entry {
+    CqHandle handle = 0;
     std::unique_ptr<ContinualQuery> query;
     std::shared_ptr<ResultSink> sink;
     delta::CqId zone_id = 0;
+    /// This CQ's bookkeeping. Written only by the thread evaluating the CQ
+    /// (it holds the CQ's shard locks), read by stats readers; this
+    /// mutex is per CQ, so writers to disjoint CQs share no lock.
+    mutable common::Mutex stats_mu{"cq_entry_stats",
+                                   common::lockorder::LockRank::kCqEntryStats};
+    CqStats stats CQ_GUARDED_BY(stats_mu);
+    /// Work counters not yet folded into metrics_ (see metrics()).
+    common::Metrics metrics CQ_GUARDED_BY(stats_mu);
+    DraStats last_dra CQ_GUARDED_BY(stats_mu);
+  };
+
+  /// The CQs reading one table, in handle order, and the shard mask of
+  /// every table they read (what a commit writing the table must lock).
+  struct TableRoutes {
+    std::vector<Entry*> entries;
+    std::uint32_t read_mask = 0;
+  };
+
+  /// An immutable routing snapshot, rebuilt at install and finish.
+  struct Routes {
+    std::unordered_map<std::string, TableRoutes> by_table;
+    std::vector<Entry*> all;  // handle order
   };
 
   /// One eligible CQ's evaluation within a dispatch (defined in the .cpp).
   struct Outcome;
 
   /// Register a built entry; returns its handle.
-  CqHandle add_entry(Entry entry);
-  /// Uninstall a CQ (removal or Stop): mark it finished, release its zone.
-  /// False when the handle is gone.
+  CqHandle add_entry(std::unique_ptr<Entry> entry);
+  /// Start a new entry's stats from the history record under its name, if
+  /// any (a reinstalled name continues its record).
+  void adopt_history(Entry& entry);
+  /// Uninstall a CQ (removal or Stop): mark it finished, release its zone,
+  /// move its stats into the history. False when the handle is gone.
   bool finish(CqHandle handle, const char* reason);
+  /// Rebuild and publish the routing snapshot from entries_.
+  void publish_routes() CQ_REQUIRES(entries_mu_);
+  /// Free retired entries and snapshots, unless this thread is inside a
+  /// dispatch that may still hold them. Callers are quiescent points.
+  void free_retired() CQ_REQUIRES(entries_mu_);
   void on_commit(const std::vector<std::string>& tables, common::Timestamp ts);
-  /// Closure callback registered with the database while eager: appends
-  /// the read sets of every CQ whose relations intersect `write_set`, so
+  /// Closure callback registered with the database while eager: the shard
+  /// mask of the read sets of every CQ reading a table in `write_set`, so
   /// the committer's shard lock set covers everything on_commit reads.
-  void extend_closure(const std::vector<std::string>& write_set,
-                      std::vector<std::string>& closure) const;
+  [[nodiscard]] std::uint32_t closure_mask(const std::vector<std::string>& write_set) const;
   /// Entry lookup under entries_mu_; nullptr when the handle is gone.
-  /// The returned pointer is stable (map nodes don't move) and the entry
-  /// is safe to use under the exclusivity contract above.
-  [[nodiscard]] Entry* find_entry(CqHandle handle);
-  /// Trigger-check bookkeeping for one evaluated CQ.
-  void record_check(const Entry& entry, bool fired);
+  /// The entry is safe to use under the exclusivity contract below.
+  [[nodiscard]] Entry* find_entry(CqHandle handle) const;
+  /// Fold one evaluation into its entry's stats and metrics: the trigger
+  /// check when `checked`, the execution when it fired.
+  void record(const Outcome& out, bool checked);
   /// Retain a delivered notification's lineage (no-op when lineage is
   /// off). Called only from serialized delivery points — deliver() and
   /// install.
   void record_lineage(const Notification& note);
-  CqStats& stats_of(const Entry& entry) CQ_REQUIRES(stats_mu_);
+  /// Move every live entry's metrics into metrics_.
+  void fold_metrics() const;
   /// The one dispatch path, for poll() and eager commits: snapshot the
   /// touched deltas once, evaluate every CQ whose read set intersects
   /// `tables` (every CQ when null) against them — inline at 1 lane, on
@@ -215,27 +254,40 @@ class CqManager {
   /// next CQ from one shared cursor.
   void evaluate_on_pool(std::vector<Outcome>& outcomes,
                         const delta::SnapshotMap& snapshots);
-  /// Every side effect of one execution, in order: stats, metrics, events,
-  /// zone advance, lineage, sink; finishes the CQ when its Stop held.
+  /// The side effects of one execution after its bookkeeping, in order:
+  /// events, zone advance, lineage, sink; finishes the CQ when its Stop
+  /// held.
   void deliver(Outcome& out);
 
-  // Concurrency contract (multi-writer commits): the entries_ map
-  // *structure* is guarded by entries_mu_ — every iteration, find,
-  // emplace and erase takes it. The Entry objects and their query state
-  // are NOT: a CQ is only ever touched by the thread holding the shard
-  // locks of its read set (commit dispatch runs under the committer's
-  // closure lock set, and install/remove/poll/execute_now require
-  // commits to be quiesced), so entry contents never see two writers.
-  // The map is deliberately not CQ_GUARDED_BY-annotated: accessors hand
-  // out references under that exclusivity contract, exactly like the
-  // engine-serialized state before sharding. metrics_ and last_stats_
-  // are merged/written under stats_mu_ on every concurrent path;
-  // metrics() escapes a reference for the quiesced readers (cqshell
-  // METRICS, tests) and is unsynchronized by contract.
+  // Concurrency contract (multi-writer commits):
+  // * entries_ *structure* is guarded by entries_mu_: install, finish and
+  //   the stats readers take it. Commits do not: closure_mask() and
+  //   dispatch() read the routing snapshot routes_ with one acquire load.
+  //   install/finish publish a fresh snapshot; the one it replaces, and
+  //   an entry finished by a Stop condition, stay allocated until the
+  //   next quiescent point, because a concurrent commit may still be
+  //   reading them.
+  // * The Entry objects and their query state are guarded by no manager
+  //   mutex: a CQ is only ever touched by the thread holding the shard
+  //   locks of its read set (commit dispatch runs under the committer's
+  //   closure lock set, and install/remove/poll/execute_now require
+  //   commits to be quiesced), so entry contents never see two writers.
+  // * Each entry's stats, metrics and DraStats are written by that one
+  //   thread under the entry's own stats_mu, which the stats readers
+  //   also take. No per-commit path takes entries_mu_ or stats_mu_
+  //   (a Stop condition's finish does).
+  // * stats_mu_ guards history_ and metrics_; metrics() folds the live
+  //   entries' bags into metrics_ and escapes a reference to it (see
+  //   metrics()).
   cat::Database& db_;
   mutable common::Mutex entries_mu_{"cq_entries",
                                     common::lockorder::LockRank::kCqEntries};
-  std::map<CqHandle, Entry> entries_;
+  std::map<CqHandle, std::unique_ptr<Entry>> entries_;
+  /// Finished entries a concurrent commit may still hold.
+  std::vector<std::unique_ptr<Entry>> retired_entries_ CQ_GUARDED_BY(entries_mu_);
+  /// Published routing snapshots; back() is current, the rest are retired.
+  std::vector<std::unique_ptr<const Routes>> route_versions_ CQ_GUARDED_BY(entries_mu_);
+  std::atomic<const Routes*> routes_{nullptr};
   CqHandle next_handle_ = 1;
   bool eager_ = false;
   std::size_t threads_ = 1;   // evaluation lanes (1 = inline, no pool)
@@ -243,12 +295,15 @@ class CqManager {
   /// run_all is not reentrant and the pool is one resource: concurrent
   /// dispatches race for it; losers evaluate their batches inline.
   std::atomic<bool> pool_busy_{false};
-  common::Metrics metrics_;
   bool lineage_on_ = false;
   LineageStore lineage_;
   mutable common::Mutex stats_mu_{"cq_stats", common::lockorder::LockRank::kCqStats};
-  std::map<std::string, CqStats> stats_ CQ_GUARDED_BY(stats_mu_);
-  DraStats last_stats_ CQ_GUARDED_BY(stats_mu_);
+  /// Finished CQs' stats by name.
+  std::map<std::string, CqStats> history_ CQ_GUARDED_BY(stats_mu_);
+  /// Manager-wide counters (install, GC, diom shipping) plus every bag
+  /// folded in by metrics() and finish(). Not annotated: metrics()
+  /// escapes a reference to it.
+  mutable common::Metrics metrics_;
 };
 
 }  // namespace cq::core

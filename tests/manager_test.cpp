@@ -202,7 +202,8 @@ TEST(CqManager, LastDraStatsExposed) {
   const CqHandle h = f.manager.install(f.spec("q", triggers::manual()), nullptr);
   f.db.insert("Stocks", {Value("MAC"), Value(130)});
   (void)f.manager.execute_now(h);
-  EXPECT_EQ(f.manager.last_dra_stats().changed_relations, 1u);
+  EXPECT_EQ(f.manager.last_dra_stats(h).changed_relations, 1u);
+  EXPECT_THROW((void)f.manager.last_dra_stats(h + 1), common::NotFound);
 }
 
 TEST(CqManager, EagerToPeriodicSwitch) {
@@ -257,6 +258,11 @@ ScenarioRun run_scenario(std::size_t threads, bool eager) {
                     sink);
   };
   install("hi", "SELECT * FROM Stocks WHERE price > 120", DeliveryMode::kDifferential);
+  // Stops after its second execution, mid-run, with CQs after it in the
+  // same dispatch.
+  manager.install(CqSpec::from_sql("until", "SELECT * FROM Stocks", triggers::on_change(),
+                                   stop::after_executions(2), DeliveryMode::kDifferential),
+                  sink);
   install("lo", "SELECT * FROM Stocks WHERE price < 100", DeliveryMode::kComplete);
   install("names", "SELECT DISTINCT name FROM Stocks", DeliveryMode::kDifferential);
   install("vol", "SELECT * FROM Trades WHERE qty > 10", DeliveryMode::kDifferential);
@@ -327,6 +333,18 @@ TEST(CqManagerParallel, EagerDispatchMatchesSequential) {
   ASSERT_FALSE(seq.stream.empty());
   expect_identical(seq, run_scenario(2, true));
   expect_identical(seq, run_scenario(4, true));
+}
+
+TEST(CqManagerParallel, StopConditionMidRunMatchesAcrossLanes) {
+  for (const bool eager : {false, true}) {
+    SCOPED_TRACE(eager ? "eager" : "polled");
+    const ScenarioRun seq = run_scenario(1, eager);
+    const CqStats& until = seq.stats.at("until");
+    EXPECT_TRUE(until.finished);
+    EXPECT_EQ(until.executions, 2u);
+    EXPECT_FALSE(seq.stats.at("traded").finished);
+    expect_identical(seq, run_scenario(4, eager));
+  }
 }
 
 TEST(CqManagerParallel, MoreLanesThanCqsMatchesSequential) {
